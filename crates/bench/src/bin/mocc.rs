@@ -58,7 +58,7 @@ use mocc_eval::{ExperimentSpec, SchemeRegistry, SweepRunner};
 use mocc_store::ResultStore;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -819,10 +819,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             );
             for conn in listener.incoming() {
                 let conn = conn.map_err(|e| e.to_string())?;
-                let reader = std::io::BufReader::new(conn.try_clone().map_err(|e| e.to_string())?);
-                let shutdown = serve_session(reader, conn, &runner, &store)?;
-                if shutdown {
-                    break;
+                let session = match conn.try_clone() {
+                    Ok(read) => serve_session(BufReader::new(read), conn, &runner, &store),
+                    Err(e) => Err(e.to_string()),
+                };
+                match session {
+                    Ok(true) => break,
+                    Ok(false) => {}
+                    // A client hanging up ends its session, not the daemon.
+                    Err(e) => eprintln!("[mocc] serve: connection dropped: {e}"),
                 }
             }
             let _ = std::fs::remove_file(path);

@@ -357,3 +357,66 @@ fn serve_answers_over_a_unix_socket() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A socket client that sends `run` and hangs up before reading the
+/// reply breaks the daemon's write; that must end only its own
+/// session. The next client is still served, and `shutdown` exits 0.
+#[test]
+fn serve_socket_survives_a_client_that_hangs_up_mid_request() {
+    use std::os::unix::net::UnixStream;
+    let dir = temp_dir("socket-hangup");
+    let store = dir.join("store");
+    let socket = dir.join("mocc.sock");
+    let child = Command::new(env!("CARGO_BIN_EXE_mocc"))
+        .args([
+            "serve",
+            "--cache-dir",
+            store.to_str().expect("utf-8"),
+            "--socket",
+            socket.to_str().expect("utf-8"),
+        ])
+        .current_dir(repo_root())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    let connect = || {
+        for _ in 0..100 {
+            if let Ok(c) = UnixStream::connect(&socket) {
+                return c;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        panic!("daemon did not accept within 5s");
+    };
+
+    // A cold sweep: the daemon is still simulating when the
+    // client closes, so writing the reply hits a closed peer.
+    let mut hangup = connect();
+    writeln!(
+        hangup,
+        "{{\"op\":\"run\",\"path\":\"examples/specs/sweep_cubic.json\"}}"
+    )
+    .expect("write run");
+    drop(hangup);
+
+    let conn = connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone stream"));
+    let mut writer = conn;
+    let mut line = String::new();
+    writeln!(writer, "{{\"op\":\"ping\"}}").expect("write ping");
+    reader.read_line(&mut line).expect("read pong");
+    assert_eq!(line.trim_end(), "{\"ok\":true,\"op\":\"ping\"}");
+    line.clear();
+    writeln!(writer, "{{\"op\":\"shutdown\"}}").expect("write shutdown");
+    reader.read_line(&mut line).expect("read shutdown ack");
+    assert_eq!(line.trim_end(), "{\"ok\":true,\"op\":\"shutdown\"}");
+
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "serve exited with {}", out.status);
+    assert!(
+        stderr_of(&out).contains("connection dropped"),
+        "the dropped session is reported once on stderr: {}",
+        stderr_of(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

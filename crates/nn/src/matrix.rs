@@ -1,9 +1,9 @@
 //! Dense row-major matrices over `f32`.
 //!
 //! The MOCC policy networks are tiny (two hidden layers of 64 and 32
-//! units), so a straightforward cache-friendly row-major representation
-//! with naive loops is more than fast enough and keeps the arithmetic
-//! auditable.
+//! units), so plain row-major storage suffices. `matmul`, `matmul_t`
+//! and the forward pass share one blocked kernel, `Matrix::accumulate`,
+//! whose fixed per-element order keeps every result bit reproducible.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -163,22 +163,13 @@ impl Matrix {
         out
     }
 
-    /// `self · otherᵀ`, without materializing the transpose.
+    /// `self · otherᵀ` on the blocked `Matrix::accumulate` kernel. Each
+    /// element stays one +0.0-started chain adding `self[r][k] ·
+    /// other[c][k]` in ascending `k`; the kernel's zero-skip only drops
+    /// adds of ±0, so this is bitwise the serial dot product for finite inputs.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let srow = self.row(r);
-            for c in 0..other.rows {
-                let orow = other.row(c);
-                let mut acc = 0.0;
-                for k in 0..self.cols {
-                    acc += srow[k] * orow[k];
-                }
-                out.set(r, c, acc);
-            }
-        }
-        out
+        self.matmul(&other.transpose())
     }
 
     /// The transpose as a new matrix.
@@ -334,11 +325,60 @@ mod tests {
         assert_eq!(a.t_matmul(&b).data, a.transpose().matmul(&b).data);
     }
 
+    /// A random matrix with about a quarter of its entries `0.0` or
+    /// `-0.0`, so the kernel's zero-skip is exercised on both signs.
+    fn with_zeros(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+    }
+
+    /// `matmul_t` is bitwise the serial dot product it replaced — one
+    /// accumulator per element, starting at +0.0, ascending `k` — across
+    /// the K_BLOCK edge, with ±0 entries, and at the PPO backward shapes
+    /// 64×64·(46×64)ᵀ and 64×32·(64×32)ᵀ.
     #[test]
     fn matmul_t_matches_explicit_transpose() {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b = m(4, 3, &[1., 0., 0., 0., 1., 0., 0., 0., 1., 1., 1., 1.]);
         assert_eq!(a.matmul_t(&b).data, a.matmul(&b.transpose()).data);
+
+        let mut rng = StdRng::seed_from_u64(12);
+        for (rows, k, n) in [
+            (3, 5, 4),
+            (2, K_BLOCK + 7, 9),
+            (5, 2 * K_BLOCK + 1, 3),
+            (64, 64, 46),
+            (64, 32, 64),
+        ] {
+            let mut a = with_zeros(rows, k, &mut rng);
+            a.row_mut(0).fill(-0.0); // Every add skipped: must stay +0.0.
+            let b = with_zeros(n, k, &mut rng);
+            let mut serial = Matrix::zeros(rows, n);
+            for r in 0..rows {
+                let srow = a.row(r);
+                for c in 0..n {
+                    let orow = b.row(c);
+                    let mut acc = 0.0;
+                    for k in 0..a.cols {
+                        acc += srow[k] * orow[k];
+                    }
+                    serial.set(r, c, acc);
+                }
+            }
+            let out = a.matmul_t(&b);
+            assert_eq!((out.rows, out.cols), (rows, n));
+            for (x, y) in out.data.iter().zip(&serial.data) {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "matmul_t drifted at {rows}x{k}x{n}"
+                );
+            }
+            assert!(out.row(0).iter().all(|x| x.to_bits() == 0));
+        }
     }
 
     #[test]
@@ -378,13 +418,14 @@ mod tests {
     }
 
     /// The blocked kernel must agree with the naive triple loop to the
-    /// last bit, including across the K_BLOCK boundary.
+    /// last bit, including across the K_BLOCK boundary and with ±0
+    /// entries on both sides.
     #[test]
     fn matmul_into_bitwise_matches_naive() {
         let mut rng = StdRng::seed_from_u64(9);
-        for (m, k, n) in [(3, 5, 4), (2, K_BLOCK + 7, 9), (1, 200, 33)] {
-            let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0f32..1.0));
-            let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0f32..1.0));
+        for (m, k, n) in [(3, 5, 4), (2, K_BLOCK + 7, 9), (1, 200, 33), (64, 64, 46)] {
+            let a = with_zeros(m, k, &mut rng);
+            let b = with_zeros(k, n, &mut rng);
             // Naive reference with the documented accumulation order.
             let mut naive = Matrix::zeros(m, n);
             for r in 0..m {

@@ -10,6 +10,7 @@ use mocc::core::{
     TrainSpec,
 };
 use mocc::eval::{ExperimentSpec, SweepRunner, SweepSpec};
+use mocc::store::sha256_hex;
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -271,4 +272,43 @@ fn resume_refuses_checkpoint_from_different_spec() {
         "error must name the digest mismatch: {err}"
     );
     let _ = std::fs::remove_dir_all(&ck_dir);
+}
+
+/// SHA-256 of the zoo `model.json` [`tiny_spec`] trains into.
+const PINNED_MODEL_SHA256: &str =
+    "0f008d7142188dc515ffebb8de8ee316cfe9c9ec88f5b99bbe6194513970f52a";
+/// SHA-256 of the final `checkpoint.json` (weights plus Adam moments)
+/// of the same run.
+const PINNED_CHECKPOINT_SHA256: &str =
+    "3d4251f4cdadfd06e6a36d79278b13f58098eda0313ed94cfee79c59873dd54a";
+
+/// Training bytes are pinned across commits, not only across runs of
+/// one build: a kernel change that moves a single trained bit — in
+/// the forward pass, the backward `matmul_t`, or the Adam update —
+/// changes these digests. The constants were recorded before the
+/// backward pass and Adam were vectorized and must hold under every
+/// backend (`--features simd` included).
+#[test]
+fn trained_bytes_match_pinned_digests() {
+    let spec = tiny_spec("resume-pinned");
+    let out = tmp_dir("pinned");
+    let ck_dir = out.join("ck");
+    let run = train_spec(
+        &spec,
+        &TrainOptions {
+            checkpoint_dir: Some(ck_dir.clone()),
+            ..TrainOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(run.completed);
+    let model = save_trained(&out.join("zoo"), &spec, &run.agent, run.outcome.iterations).unwrap();
+    let digest = |path: &std::path::Path| sha256_hex(&std::fs::read(path).unwrap());
+    assert_eq!(digest(&model), PINNED_MODEL_SHA256, "model.json moved");
+    assert_eq!(
+        digest(&ck_dir.join("checkpoint.json")),
+        PINNED_CHECKPOINT_SHA256,
+        "checkpoint.json moved"
+    );
+    let _ = std::fs::remove_dir_all(&out);
 }
