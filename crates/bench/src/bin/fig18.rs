@@ -6,60 +6,29 @@
 //! poorly.
 
 use mocc_bench::{header, mean_reward, row, with_agent_mi};
-use mocc_core::{MoccCc, MoccEnv, Preference};
-use mocc_netsim::cc::{CongestionControl, MonitorStats, RateControl, SenderView};
+use mocc_core::{Actor, Controller, MoccCc, MoccEnv, PolicyCc, Preference};
 use mocc_netsim::metrics::percentile;
 use mocc_netsim::{ScenarioRange, Simulator};
 use mocc_rl::{Dqn, DqnConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
-/// Deployment shim for the DQN variant (greedy discrete actions).
-struct DqnCc {
-    dqn_actions: Vec<f32>,
+/// The DQN variant's deployment policy: the greedy grid action.
+struct DqnGreedy {
     q: mocc_nn::Mlp,
-    cfg: mocc_core::MoccConfig,
-    pref: Preference,
-    history: VecDeque<[f32; 3]>,
-    initial_rate_bps: f64,
+    actions: Vec<f32>,
 }
 
-impl CongestionControl for DqnCc {
-    fn name(&self) -> &'static str {
-        "mocc-dqn"
-    }
-
-    fn init(&mut self, _view: &SenderView, ctl: &mut RateControl) {
-        self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
-        ctl.pacing_rate_bps = self.initial_rate_bps;
-        ctl.cwnd_pkts = f64::INFINITY;
-    }
-
-    fn on_monitor(&mut self, _view: &SenderView, mi: &MonitorStats, ctl: &mut RateControl) {
-        self.history.pop_front();
-        self.history.push_back(mocc_core::stats_features(mi));
-        let mut obs = Vec::with_capacity(3 + 3 * self.cfg.history);
-        obs.extend_from_slice(&self.pref.as_array());
-        for h in &self.history {
-            obs.extend_from_slice(h);
-        }
-        let qs = self.q.forward(&obs);
+impl Actor for DqnGreedy {
+    fn act(&self, obs: &[f32]) -> f32 {
+        let qs = self.q.forward(obs);
         let best = qs
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0);
-        let a = self.dqn_actions[best] as f64;
-        let alpha = self.cfg.action_scale;
-        let rate = ctl.pacing_rate_bps;
-        ctl.pacing_rate_bps = if a >= 0.0 {
-            rate * (1.0 + alpha * a)
-        } else {
-            rate / (1.0 - alpha * a)
-        }
-        .clamp(1e4, 1e9);
+        self.actions[best]
     }
 }
 
@@ -117,14 +86,15 @@ fn main() {
             let res = Simulator::new(with_agent_mi(sc.clone()), vec![cc]).run();
             ppo_rewards.push(mean_reward(&res.flows[0].mi_records, cap, base, w) as f64);
 
-            let cc = Box::new(DqnCc {
-                dqn_actions: actions.clone(),
-                q: dqn.q.clone(),
-                cfg,
-                pref: *w,
-                history: VecDeque::new(),
-                initial_rate_bps: 0.3 * cap,
-            });
+            let cc = Box::new(PolicyCc::from_parts(
+                "mocc-dqn",
+                DqnGreedy {
+                    q: dqn.q.clone(),
+                    actions: actions.clone(),
+                },
+                Controller::new(cfg, Some(*w)),
+                0.3 * cap,
+            ));
             let res = Simulator::new(with_agent_mi(sc.clone()), vec![cc]).run();
             dqn_rewards.push(mean_reward(&res.flows[0].mi_records, cap, base, w) as f64);
         }

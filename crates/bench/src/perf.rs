@@ -317,7 +317,7 @@ impl Env for SyntheticEnv {
 /// Transitions per second collecting rollouts over [`ROLLOUT_ENVS`]
 /// synthetic environments with policy-shaped actor/critic networks —
 /// either the historical per-env scalar loop (bit-exact scalar
-/// kernels, exactly what `collect_rollout` runs), or the lockstep
+/// kernels, exactly what `Ppo::collect_rollout` runs), or the lockstep
 /// batched collector as the batched training pipeline configures it
 /// (`collect_rollouts_batched_tier` on the fast inference tier). Same
 /// seeds, same envs, same step budget either way: the ratio is the

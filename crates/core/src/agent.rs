@@ -3,42 +3,9 @@
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
-use mocc_netsim::MonitorStats;
 use mocc_rl::{GaussianPolicy, Ppo, PpoConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Converts one monitor interval into the three state features
-/// `(l_t − 1, p_t − 1, 10·q_t)`, clamped for numerical stability. Used
-/// identically by the training environment, the deployment adapter, and
-/// the library facade so the policy always sees the same distribution.
-pub fn stats_features(stats: &MonitorStats) -> [f32; 3] {
-    [
-        (stats.send_ratio as f32 - 1.0).clamp(0.0, 5.0),
-        (stats.latency_ratio as f32 - 1.0).clamp(0.0, 5.0),
-        (stats.latency_gradient as f32 * 10.0).clamp(-1.0, 1.0),
-    ]
-}
-
-/// Assembles the policy observation — the preference followed by the
-/// η-interval feature history — into `out` (length
-/// [`MoccConfig::obs_dim`]). One writer serves the deployment adapter,
-/// the library facade, and the batched evaluator, so their observation
-/// layouts can never drift apart.
-///
-/// # Panics
-///
-/// Panics if `out` is shorter than `3 + 3 × history.len()`.
-pub fn write_obs(
-    pref: &Preference,
-    history: &std::collections::VecDeque<[f32; 3]>,
-    out: &mut [f32],
-) {
-    out[..3].copy_from_slice(&pref.as_array());
-    for (chunk, h) in out[3..].chunks_exact_mut(3).zip(history) {
-        chunk.copy_from_slice(h);
-    }
-}
 
 /// The complete MOCC learner: a PPO actor-critic whose actor and critic
 /// both carry the preference sub-network (Fig. 3).

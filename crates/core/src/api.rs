@@ -10,11 +10,11 @@
 
 use crate::agent::MoccAgent;
 use crate::config::MoccConfig;
+use crate::controller::{features, Controller};
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_rl::GaussianPolicy;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One interval's network status, as reported by the datapath.
 /// Mirrors the state statistics of §4.1.
@@ -33,6 +33,12 @@ pub struct NetStatus {
 pub enum MoccLibError {
     /// `report_status`/`get_sending_rate` before `register`.
     NotRegistered,
+    /// A reported statistic is NaN or infinite; the report was
+    /// rejected and the controller is unchanged.
+    InvalidStatus {
+        /// The offending [`NetStatus`] field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for MoccLibError {
@@ -40,6 +46,9 @@ impl std::fmt::Display for MoccLibError {
         match self {
             MoccLibError::NotRegistered => {
                 write!(f, "no application registered; call register(w) first")
+            }
+            MoccLibError::InvalidStatus { field } => {
+                write!(f, "reported status field {field} is not finite")
             }
         }
     }
@@ -51,8 +60,8 @@ impl std::error::Error for MoccLibError {}
 pub struct MoccLib {
     policy: GaussianPolicy<PrefNet>,
     cfg: MoccConfig,
-    pref: Option<Preference>,
-    history: VecDeque<[f32; 3]>,
+    /// `None` until an application registers.
+    ctl: Option<Controller>,
     rate_bps: f64,
 }
 
@@ -63,41 +72,42 @@ impl MoccLib {
         MoccLib {
             policy: agent.ppo.policy.clone(),
             cfg: agent.cfg,
-            pref: None,
-            history: VecDeque::from(vec![[0.0; 3]; agent.cfg.history]),
+            ctl: None,
             rate_bps: initial_rate_bps,
         }
     }
 
-    /// `Register(w)`: declares the application's requirement.
+    /// `Register(w)`: declares the application's requirement and
+    /// starts a fresh history.
     pub fn register(&mut self, w: Preference) {
-        self.pref = Some(w);
-        self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
+        self.ctl = Some(Controller::new(self.cfg, Some(w)));
     }
 
     /// `ReportStatus(s_t)`: feeds the latest interval statistics and
-    /// advances the rate decision.
+    /// advances the rate decision. A status with a NaN or infinite
+    /// field is rejected with [`MoccLibError::InvalidStatus`] and
+    /// changes neither the history nor the rate.
     pub fn report_status(&mut self, s: NetStatus) -> Result<(), MoccLibError> {
-        let pref = self.pref.ok_or(MoccLibError::NotRegistered)?;
-        self.history.pop_front();
-        self.history.push_back([
-            (s.send_ratio as f32 - 1.0).clamp(0.0, 5.0),
-            (s.latency_ratio as f32 - 1.0).clamp(0.0, 5.0),
-            (s.latency_gradient as f32 * 10.0).clamp(-1.0, 1.0),
-        ]);
-        let mut obs = vec![0.0; self.cfg.obs_dim()];
-        crate::agent::write_obs(&pref, &self.history, &mut obs);
-        let mean = self.policy.mean_action(&obs);
-        self.rate_bps = self.cfg.apply_action(self.rate_bps, mean);
+        let ctl = self.ctl.as_mut().ok_or(MoccLibError::NotRegistered)?;
+        for (field, value) in [
+            ("send_ratio", s.send_ratio),
+            ("latency_ratio", s.latency_ratio),
+            ("latency_gradient", s.latency_gradient),
+        ] {
+            if !value.is_finite() {
+                return Err(MoccLibError::InvalidStatus { field });
+            }
+        }
+        ctl.push(features(s.send_ratio, s.latency_ratio, s.latency_gradient));
+        let mean = self.policy.mean_action(&ctl.obs());
+        self.rate_bps = ctl.next_rate(self.rate_bps, mean);
         Ok(())
     }
 
     /// `GetSendingRate()`: the rate (bits per second) for the next
     /// interval.
     pub fn get_sending_rate(&self) -> Result<f64, MoccLibError> {
-        if self.pref.is_none() {
-            return Err(MoccLibError::NotRegistered);
-        }
+        self.ctl.as_ref().ok_or(MoccLibError::NotRegistered)?;
         Ok(self.rate_bps)
     }
 }
@@ -142,6 +152,56 @@ mod tests {
         assert!(r > 0.0 && r.is_finite());
         // Rate moved by at most the Eq. 1 bound (α × clip = 12.5 %).
         assert!(r / 2e6 < 1.2 && r / 2e6 > 0.8, "rate {r}");
+    }
+
+    /// A non-finite field is rejected before it reaches the history:
+    /// the rate stays put and later good reports steer it as if the
+    /// bad one had never been sent.
+    #[test]
+    fn non_finite_status_is_rejected_without_side_effects() {
+        let mut poisoned = lib();
+        let mut clean = lib();
+        poisoned.register(Preference::balanced());
+        clean.register(Preference::balanced());
+        poisoned.report_status(status()).unwrap();
+        clean.report_status(status()).unwrap();
+        let before = poisoned.get_sending_rate().unwrap();
+        for (bad, field) in [
+            (
+                NetStatus {
+                    send_ratio: f64::NAN,
+                    ..status()
+                },
+                "send_ratio",
+            ),
+            (
+                NetStatus {
+                    latency_ratio: f64::INFINITY,
+                    ..status()
+                },
+                "latency_ratio",
+            ),
+            (
+                NetStatus {
+                    latency_gradient: f64::NEG_INFINITY,
+                    ..status()
+                },
+                "latency_gradient",
+            ),
+        ] {
+            assert_eq!(
+                poisoned.report_status(bad).unwrap_err(),
+                MoccLibError::InvalidStatus { field }
+            );
+            assert_eq!(poisoned.get_sending_rate().unwrap(), before);
+        }
+        for _ in 0..15 {
+            poisoned.report_status(status()).unwrap();
+            clean.report_status(status()).unwrap();
+        }
+        let rate = poisoned.get_sending_rate().unwrap();
+        assert!(rate.is_finite(), "rate {rate}");
+        assert_eq!(rate.to_bits(), clean.get_sending_rate().unwrap().to_bits());
     }
 
     #[test]

@@ -5,17 +5,14 @@
 //! (Fig. 2a): one trained model per objective. "Enhanced Aurora"
 //! (Fig. 6) is a bank of such models dispatched by nearest preference.
 
-use crate::agent::stats_features;
 use crate::config::MoccConfig;
 use crate::env::MoccEnv;
 use crate::preference::Preference;
-use mocc_netsim::cc::{CongestionControl, MonitorStats, RateControl, SenderView};
 use mocc_nn::Mlp;
-use mocc_rl::{Env, GaussianPolicy, Ppo, PpoConfig};
+use mocc_rl::{Env, Ppo, PpoConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// A single-objective Aurora agent.
 #[derive(Clone, Serialize, Deserialize)]
@@ -145,59 +142,10 @@ impl AuroraBank {
     }
 }
 
-/// Deployment shim: runs a trained Aurora policy as a
-/// [`CongestionControl`] inside multi-flow simulations.
-pub struct AuroraCc {
-    policy: GaussianPolicy<Mlp>,
-    cfg: MoccConfig,
-    history: VecDeque<[f32; 3]>,
-    initial_rate_bps: f64,
-}
-
-impl AuroraCc {
-    /// Wraps a trained agent's policy for deployment.
-    pub fn new(agent: &AuroraAgent, initial_rate_bps: f64) -> Self {
-        AuroraCc {
-            policy: agent.ppo.policy.clone(),
-            cfg: agent.cfg,
-            history: VecDeque::new(),
-            initial_rate_bps,
-        }
-    }
-}
-
-impl CongestionControl for AuroraCc {
-    fn name(&self) -> &'static str {
-        "aurora"
-    }
-
-    fn init(&mut self, _view: &SenderView, ctl: &mut RateControl) {
-        self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
-        ctl.pacing_rate_bps = self.initial_rate_bps;
-        ctl.cwnd_pkts = f64::INFINITY;
-    }
-
-    fn on_monitor(&mut self, _view: &SenderView, mi: &MonitorStats, ctl: &mut RateControl) {
-        self.history.pop_front();
-        self.history.push_back(stats_features(mi));
-        let obs: Vec<f32> = self.history.iter().flatten().copied().collect();
-        let a = (self.policy.mean_action(&obs) as f64)
-            .clamp(-self.cfg.action_clip, self.cfg.action_clip);
-        let alpha = self.cfg.action_scale;
-        let rate = ctl.pacing_rate_bps;
-        ctl.pacing_rate_bps = if a >= 0.0 {
-            rate * (1.0 + alpha * a)
-        } else {
-            rate / (1.0 - alpha * a)
-        }
-        .clamp(1e4, 1e9);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocc_netsim::{Scenario, ScenarioRange, Simulator};
+    use mocc_netsim::ScenarioRange;
 
     fn small_cfg() -> MoccConfig {
         MoccConfig {
@@ -230,14 +178,5 @@ mod tests {
         assert_eq!(bank.best_for(&near_thr).pref, Preference::throughput());
         let near_lat = Preference::new(0.2, 0.7, 0.1);
         assert_eq!(bank.best_for(&near_lat).pref, Preference::latency());
-    }
-
-    #[test]
-    fn aurora_cc_runs_in_simulator() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let agent = AuroraAgent::new(small_cfg(), Preference::throughput(), &mut rng);
-        let sc = Scenario::single(5e6, 20, 500, 0.0, 10);
-        let res = Simulator::new(sc, vec![Box::new(AuroraCc::new(&agent, 1e6))]).run();
-        assert!(res.flows[0].total_sent > 0, "untrained policy still paces");
     }
 }

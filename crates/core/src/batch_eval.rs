@@ -19,8 +19,9 @@
 //! bottleneck while the chunk's monitor-interval decisions are still
 //! served from batched forward passes.
 
-use crate::agent::{stats_features, write_obs, MoccAgent};
+use crate::agent::MoccAgent;
 use crate::config::MoccConfig;
+use crate::controller::Controller;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_eval::{
@@ -31,7 +32,6 @@ use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
 use mocc_netsim::Simulator;
 use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
-use std::collections::VecDeque;
 
 /// Evaluates sweep cells under a trained MOCC policy with batched
 /// inference. The policy drives flow 0 of every cell; any remaining
@@ -113,7 +113,7 @@ pub fn preference_from_spec(spec: &MoccPrefSpec) -> Preference {
 struct CellRun {
     index: usize,
     sim: Simulator,
-    history: VecDeque<[f32; 3]>,
+    ctl: Controller,
 }
 
 impl CellEvaluator for BatchMoccEvaluator {
@@ -148,7 +148,7 @@ impl CellEvaluator for BatchMoccEvaluator {
                 CellRun {
                     index,
                     sim: Simulator::new(cell.scenario.clone(), ccs),
-                    history: VecDeque::from(vec![[0.0; 3]; self.cfg.history]),
+                    ctl: Controller::new(self.cfg, Some(self.pref)),
                 }
             })
             .collect();
@@ -161,9 +161,7 @@ impl CellEvaluator for BatchMoccEvaluator {
             while i < runs.len() {
                 match runs[i].sim.advance_until_monitor(0) {
                     Some(stats) => {
-                        let run = &mut runs[i];
-                        run.history.pop_front();
-                        run.history.push_back(stats_features(&stats));
+                        runs[i].ctl.observe(&stats);
                         i += 1;
                     }
                     None => {
@@ -180,12 +178,12 @@ impl CellEvaluator for BatchMoccEvaluator {
             }
             obs.reshape(runs.len(), obs_dim);
             for (r, run) in runs.iter().enumerate() {
-                write_obs(&self.pref, &run.history, obs.row_mut(r));
+                run.ctl.write_obs(obs.row_mut(r));
             }
             self.policy
                 .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
             for (run, &mean) in runs.iter_mut().zip(&means) {
-                let next = self.cfg.apply_action(run.sim.rate(0), mean);
+                let next = run.ctl.next_rate(run.sim.rate(0), mean);
                 run.sim.set_rate(0, next);
             }
         }
@@ -200,8 +198,7 @@ impl CellEvaluator for BatchMoccEvaluator {
 /// competition cell.
 struct MoccFlow {
     flow: usize,
-    pref: Preference,
-    history: VecDeque<[f32; 3]>,
+    ctl: Controller,
 }
 
 /// Per-cell in-flight state while a competition batch runs.
@@ -213,6 +210,18 @@ struct CompetitionRun {
     mocc: Vec<MoccFlow>,
     /// The flow whose monitor interval paused the simulator this round.
     paused: usize,
+}
+
+impl CompetitionRun {
+    /// The controller of the flow that paused the simulator.
+    fn paused_ctl(&self) -> &Controller {
+        &self
+            .mocc
+            .iter()
+            .find(|m| m.flow == self.paused)
+            .expect("paused flow is controlled")
+            .ctl
+    }
 }
 
 /// Competition cells through the same batched policy: every flow whose
@@ -254,8 +263,7 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
                             controlled[flow] = true;
                             mocc.push(MoccFlow {
                                 flow,
-                                pref,
-                                history: VecDeque::from(vec![[0.0; 3]; self.cfg.history]),
+                                ctl: Controller::new(self.cfg, Some(pref)),
                             });
                             Box::new(ExternalRate {
                                 initial_rate_bps: self.initial_rate_frac * peak,
@@ -319,8 +327,7 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
                                 .iter_mut()
                                 .find(|m| m.flow == f)
                                 .expect("paused flow is controlled");
-                            mf.history.pop_front();
-                            mf.history.push_back(stats_features(&stats));
+                            mf.ctl.observe(&stats);
                             run.paused = f;
                             break false;
                         }
@@ -339,17 +346,12 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
             }
             obs.reshape(runs.len(), obs_dim);
             for (r, run) in runs.iter().enumerate() {
-                let mf = run
-                    .mocc
-                    .iter()
-                    .find(|m| m.flow == run.paused)
-                    .expect("paused flow is controlled");
-                write_obs(&mf.pref, &mf.history, obs.row_mut(r));
+                run.paused_ctl().write_obs(obs.row_mut(r));
             }
             self.policy
                 .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
             for (run, &mean) in runs.iter_mut().zip(&means) {
-                let next = self.cfg.apply_action(run.sim.rate(run.paused), mean);
+                let next = run.paused_ctl().next_rate(run.sim.rate(run.paused), mean);
                 run.sim.set_rate(run.paused, next);
             }
         }

@@ -98,14 +98,28 @@ impl MoccConfig {
         3 + 3 * self.history
     }
 
+    /// Upper bound of every deployed rate: 1 Gbps.
+    pub const MAX_RATE_BPS: f64 = 1e9;
+
+    /// [`MoccConfig::apply_action_capped`] at the deployment ceiling,
+    /// [`MoccConfig::MAX_RATE_BPS`] — what a deployed
+    /// [`crate::Controller`] applies.
+    pub fn apply_action(&self, rate_bps: f64, mean: f32) -> f64 {
+        self.apply_action_capped(rate_bps, mean, Self::MAX_RATE_BPS)
+    }
+
     /// The Eq. 1 multiplicative rate update: clamps the policy mean to
     /// `±action_clip`, scales by `action_scale`, and applies it to
     /// `rate_bps` (symmetric: `×(1 + αa)` up, `÷(1 − αa)` down),
-    /// bounded to [10 kbps, 1 Gbps]. The single implementation behind
-    /// the deployment adapter, the library facade, and the batched
-    /// evaluator — the deployed and batch-evaluated controllers apply
-    /// identical arithmetic by construction.
-    pub fn apply_action(&self, rate_bps: f64, mean: f32) -> f64 {
+    /// bounded to [10 kbps, `ceiling_bps`]. The one copy of the
+    /// arithmetic: every [`crate::Controller`] — in training,
+    /// simulation, the library facade and batched evaluation — goes
+    /// through it, so they apply identical arithmetic by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ceiling_bps` is below 10 kbps.
+    pub fn apply_action_capped(&self, rate_bps: f64, mean: f32, ceiling_bps: f64) -> f64 {
         let a = (mean as f64).clamp(-self.action_clip, self.action_clip);
         let alpha = self.action_scale;
         if a >= 0.0 {
@@ -113,7 +127,7 @@ impl MoccConfig {
         } else {
             rate_bps / (1.0 - alpha * a)
         }
-        .clamp(1e4, 1e9)
+        .clamp(1e4, ceiling_bps)
     }
 
     /// Entropy coefficient at training iteration `iter` (linear decay,

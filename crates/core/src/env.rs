@@ -7,6 +7,7 @@
 //! the dynamically parameterized reward of Eq. 2.
 
 use crate::config::MoccConfig;
+use crate::controller::Controller;
 use crate::preference::Preference;
 use mocc_netsim::cc::ExternalRate;
 use mocc_netsim::scenario::MiMode;
@@ -15,7 +16,6 @@ use mocc_netsim::{MonitorStats, Scenario, ScenarioRange, Simulator};
 use mocc_rl::Env;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// Where the environment's episode scenarios come from.
 #[derive(Debug, Clone)]
@@ -29,14 +29,14 @@ pub enum ScenarioSource {
 /// The congestion-control environment for MOCC and Aurora agents.
 pub struct MoccEnv {
     cfg: MoccConfig,
+    /// The preference of the Eq. 2 reward.
     pref: Preference,
-    /// Whether the preference is part of the observation. MOCC sets
-    /// this; the single-objective Aurora baseline observes only the
-    /// network history (Fig. 2a vs 2b).
-    include_pref: bool,
+    /// The agent's controller. Its observation carries the preference
+    /// for MOCC; the single-objective Aurora baseline observes only
+    /// the network history (Fig. 2a vs 2b).
+    ctl: Controller,
     source: ScenarioSource,
     sim: Option<Simulator>,
-    history: VecDeque<[f32; 3]>,
     steps: usize,
     rng: StdRng,
     capacity_bps: f64,
@@ -49,10 +49,9 @@ impl MoccEnv {
         MoccEnv {
             cfg,
             pref,
-            include_pref: true,
+            ctl: Controller::new(cfg, Some(pref)),
             source: ScenarioSource::Random(range),
             sim: None,
-            history: VecDeque::new(),
             steps: 0,
             rng: StdRng::seed_from_u64(seed),
             capacity_bps: 1.0,
@@ -65,10 +64,9 @@ impl MoccEnv {
         MoccEnv {
             cfg,
             pref,
-            include_pref: true,
+            ctl: Controller::new(cfg, Some(pref)),
             source: ScenarioSource::Fixed(scenario),
             sim: None,
-            history: VecDeque::new(),
             steps: 0,
             rng: StdRng::seed_from_u64(seed),
             capacity_bps: 1.0,
@@ -78,7 +76,7 @@ impl MoccEnv {
 
     /// Makes the observation preference-free (Aurora mode, Fig. 2a).
     pub fn without_pref_obs(mut self) -> Self {
-        self.include_pref = false;
+        self.ctl.set_pref(None);
         self
     }
 
@@ -86,6 +84,9 @@ impl MoccEnv {
     /// the state input both follow).
     pub fn set_pref(&mut self, pref: Preference) {
         self.pref = pref;
+        if self.ctl.pref().is_some() {
+            self.ctl.set_pref(Some(pref));
+        }
     }
 
     /// The active preference.
@@ -111,26 +112,6 @@ impl MoccEnv {
             sc.seed = self.rng.gen();
         }
         sc
-    }
-
-    /// The observation built from the current history.
-    fn obs(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.obs_dim());
-        if self.include_pref {
-            v.extend_from_slice(&self.pref.as_array());
-        }
-        for h in &self.history {
-            v.extend_from_slice(h);
-        }
-        v
-    }
-
-    fn push_stats(&mut self, stats: &MonitorStats) {
-        let l = (stats.send_ratio as f32 - 1.0).clamp(0.0, 5.0);
-        let p = (stats.latency_ratio as f32 - 1.0).clamp(0.0, 5.0);
-        let q = (stats.latency_gradient as f32 * 10.0).clamp(-1.0, 1.0);
-        self.history.pop_front();
-        self.history.push_back([l, p, q]);
     }
 
     /// The Eq. 2 reward for one monitor interval under preference `w`.
@@ -173,18 +154,14 @@ fn mi_for(base_rtt: SimDuration) -> SimDuration {
 
 impl Env for MoccEnv {
     fn obs_dim(&self) -> usize {
-        let hist = 3 * self.cfg.history;
-        if self.include_pref {
-            3 + hist
-        } else {
-            hist
-        }
+        self.ctl.obs_dim()
     }
 
     fn reset(&mut self) -> Vec<f32> {
         let sc = self.build_scenario();
         self.capacity_bps = sc.link.trace.max_rate();
         self.base_rtt_s = sc.link.base_rtt().as_secs_f64();
+        self.ctl.set_ceiling(4.0 * self.capacity_bps);
         let initial = 0.3 * self.capacity_bps;
         let mut sim = Simulator::new(
             sc,
@@ -194,39 +171,27 @@ impl Env for MoccEnv {
         );
         // Prime the pipeline for one interval so the first observation
         // carries real statistics.
+        self.ctl.reset();
         if let Some(stats) = sim.advance_until_monitor(0) {
-            self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
-            self.push_stats(&stats);
-        } else {
-            self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
+            self.ctl.observe(&stats);
         }
         self.sim = Some(sim);
         self.steps = 0;
-        self.obs()
+        self.ctl.obs()
     }
 
     fn step(&mut self, action: f32) -> (Vec<f32>, f32, bool) {
         let sim = self.sim.as_mut().expect("reset before step");
-        let a = (action as f64).clamp(-self.cfg.action_clip, self.cfg.action_clip);
-        let alpha = self.cfg.action_scale;
-        let rate = sim.rate(0);
-        // Eq. 1: multiplicative rate update, damped by α.
-        let new_rate = if a >= 0.0 {
-            rate * (1.0 + alpha * a)
-        } else {
-            rate / (1.0 - alpha * a)
-        };
-        let new_rate = new_rate.clamp(1e4, 4.0 * self.capacity_bps);
-        sim.set_rate(0, new_rate);
+        sim.set_rate(0, self.ctl.next_rate(sim.rate(0), action));
         match sim.advance_until_monitor(0) {
             Some(stats) => {
                 let r = Self::reward_of(&self.pref, &stats, self.capacity_bps, self.base_rtt_s);
-                self.push_stats(&stats);
+                self.ctl.observe(&stats);
                 self.steps += 1;
                 let done = self.steps >= self.cfg.episode_mis;
-                (self.obs(), r, done)
+                (self.ctl.obs(), r, done)
             }
-            None => (self.obs(), 0.0, true),
+            None => (self.ctl.obs(), 0.0, true),
         }
     }
 }
@@ -362,7 +327,7 @@ mod tests {
         let _ = env.reset();
         env.set_pref(Preference::latency());
         assert_eq!(env.pref(), Preference::latency());
-        let obs = env.obs();
+        let obs = env.ctl.obs();
         assert!((obs[1] - 0.8).abs() < 1e-6, "latency weight in obs");
     }
 }

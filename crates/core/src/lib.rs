@@ -40,6 +40,7 @@ pub mod api;
 pub mod aurora;
 pub mod batch_eval;
 pub mod config;
+pub mod controller;
 pub mod env;
 pub mod experiment;
 pub mod graph;
@@ -52,12 +53,13 @@ pub mod trainer;
 pub mod trainspec;
 pub mod zoo;
 
-pub use adapter::MoccCc;
-pub use agent::{stats_features, write_obs, MoccAgent};
+pub use adapter::{Actor, AuroraCc, MoccCc, PolicyCc};
+pub use agent::MoccAgent;
 pub use api::{MoccLib, MoccLibError, NetStatus};
-pub use aurora::{AuroraAgent, AuroraBank, AuroraCc};
+pub use aurora::{AuroraAgent, AuroraBank};
 pub use batch_eval::{preference_from_spec, BatchMoccEvaluator};
 pub use config::MoccConfig;
+pub use controller::{stats_features, write_obs, Controller};
 pub use env::{MoccEnv, ScenarioSource};
 pub use experiment::{
     agent_from_policy, evaluator_from_policy, policy_digest, run_experiment, run_experiment_cached,
@@ -67,8 +69,6 @@ pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
 pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};
 pub use preference::{landmark_count, landmarks, nearest, Preference};
 pub use prefnet::{PrefNet, PrefNetScratch};
-#[allow(deprecated)]
-pub use train::train_offline;
 pub use train::{evaluate, train_iteration, train_iteration_contrast, TrainOutcome, TrainRegime};
 pub use trainer::{
     build_schedule, load_checkpoint, train_spec, write_checkpoint, ScheduleStep, TrainCheckpoint,

@@ -295,8 +295,7 @@ impl SweepRunner {
     /// **The unified entry point**: validates and runs a declarative
     /// [`ExperimentSpec`] against the built-in scheme registry,
     /// returning the canonical report labelled with the experiment's
-    /// name. Subsumes the per-workload `run_*` methods (now thin
-    /// deprecated shims).
+    /// name. Subsumes the per-workload `run_*` methods.
     ///
     /// `mocc` schemes need a policy engine this crate does not have:
     /// they come back as [`SpecError::NeedsPolicyEngine`] — run those
@@ -551,56 +550,6 @@ impl SweepRunner {
             stats,
         )
     }
-
-    /// Convenience shim: runs a named `mocc-cc` baseline over the
-    /// spec.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an `ExperimentSpec` and call `SweepRunner::run` instead"
-    )]
-    pub fn run_baseline(&self, spec: &SweepSpec, name: &str) -> SweepReport {
-        self.run_factory(spec, name, &BaselineFactory::new(name))
-    }
-
-    /// Renamed shim for [`SweepRunner::run_cells`].
-    #[deprecated(since = "0.2.0", note = "renamed to `SweepRunner::run_cells`")]
-    pub fn run_evaluator(
-        &self,
-        spec: &SweepSpec,
-        controller: &str,
-        evaluator: &dyn CellEvaluator,
-    ) -> SweepReport {
-        self.run_cells(spec, controller, evaluator)
-    }
-
-    /// Renamed shim for [`SweepRunner::run_competition_factory`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "renamed to `SweepRunner::run_competition_factory`; spec-file \
-                competitions go through `SweepRunner::run`"
-    )]
-    pub fn run_competition(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        factory: &dyn ContenderFactory,
-    ) -> SweepReport {
-        self.run_competition_factory(spec, controller, factory)
-    }
-
-    /// Renamed shim for [`SweepRunner::run_competition_cells`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "renamed to `SweepRunner::run_competition_cells`"
-    )]
-    pub fn run_competition_evaluator(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        evaluator: &dyn CompetitionEvaluator,
-    ) -> SweepReport {
-        self.run_competition_cells(spec, controller, evaluator)
-    }
 }
 
 /// Simulates one cell to its horizon and reduces it to metrics.
@@ -661,8 +610,11 @@ mod tests {
         spec.bandwidth_mbps = vec![8.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![0.0];
-        #[allow(deprecated)] // pins the shim's behavior for its final release
-        let rep = SweepRunner::with_threads(2).run_baseline(&spec, "cubic");
+        let rep = SweepRunner::with_threads(2).run_factory(
+            &spec,
+            "cubic",
+            &BaselineFactory::new("cubic"),
+        );
         assert_eq!(rep.controller, "cubic");
         assert!(rep.cells[0].utilization > 0.5, "{:?}", rep.cells[0]);
     }

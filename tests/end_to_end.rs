@@ -150,3 +150,172 @@ fn model_roundtrip_identical_behaviour() {
     };
     assert_eq!(run(&agent), run(&loaded));
 }
+
+// ---------------------------------------------------------------------
+// Pinned controller digests. Each test below hashes the exact bits one
+// deployment of the MOCC controller produces, so a change to the
+// observation layout, the feature clamps or the Eq. 1 update shows up
+// as a moved digest. The digests were recorded before the controller
+// was shared between these paths; never re-record them to make a
+// refactor pass.
+// ---------------------------------------------------------------------
+
+use mocc::core::{AuroraAgent, AuroraCc, MoccEnv};
+use mocc::netsim::SimResult;
+use mocc::rl::Env;
+use mocc::store::sha256_hex;
+use std::fmt::Write as _;
+
+/// Every per-interval float of every flow, as hex bit patterns, plus
+/// the packet totals.
+fn sim_fingerprint(res: &SimResult) -> String {
+    let mut s = String::new();
+    for f in &res.flows {
+        writeln!(s, "{} {} {}", f.name, f.total_sent, f.total_acked).unwrap();
+        for r in &f.mi_records {
+            for x in [
+                r.t_s,
+                r.throughput_bps,
+                r.sending_rate_bps,
+                r.mean_rtt_ms,
+                r.loss_rate,
+                r.pacing_rate_bps,
+            ] {
+                write!(s, "{:016x} ", x.to_bits()).unwrap();
+            }
+            s.push('\n');
+        }
+    }
+    s
+}
+
+/// A seeded sweep-mode `mocc:bal` experiment (policy-driven flow 0,
+/// cross traffic, loss, an oscillating trace) through `run_experiment`.
+#[test]
+fn sweep_mocc_bal_report_matches_pinned_digest() {
+    let json = r#"{"agent_mi":true,"bandwidth_mbps":[3.0,6.0],"duration_s":6,"kind":"sweep","loads":["steady:1","onoff:1"],"loss":[0.0,0.02],"mss_bytes":1500,"name":"pin-mocc-bal","owd_ms":[10,30],"policy":{"batch":3,"config":"fast","fast_math":false,"initial_rate_frac":0.3,"path":null,"preference":"thr","seed":11},"queue_pkts":[100],"scheme":"mocc:bal","seed":7,"shapes":["constant","osc:2x2"]}"#;
+    let exp = mocc::eval::ExperimentSpec::from_json(json).unwrap();
+    let report =
+        mocc::core::run_experiment(&mocc::eval::SweepRunner::with_threads(2), &exp).unwrap();
+    assert_eq!(report.cells.len(), 32);
+    assert_eq!(
+        sha256_hex(report.to_canonical_json().as_bytes()),
+        PINNED_SWEEP_MOCC_BAL_SHA256
+    );
+}
+
+/// Two deployed `MoccCc` flows with different preferences sharing a
+/// lossy bottleneck.
+#[test]
+fn mocc_cc_simulation_matches_pinned_digest() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
+    let sc = Scenario::dumbbell(8e6, 15, 150, 2, 0.01, 8);
+    let res = Simulator::new(
+        sc,
+        vec![
+            Box::new(MoccCc::new(&agent, Preference::throughput(), 2e6)),
+            Box::new(MoccCc::new(&agent, Preference::new(0.2, 0.5, 0.3), 1e6)),
+        ],
+    )
+    .run();
+    assert_eq!(
+        sha256_hex(sim_fingerprint(&res).as_bytes()),
+        PINNED_MOCC_CC_SHA256
+    );
+}
+
+/// A deployed `AuroraCc` flow (preference-free observation) against
+/// CUBIC.
+#[test]
+fn aurora_cc_simulation_matches_pinned_digest() {
+    let mut rng = StdRng::seed_from_u64(22);
+    let agent = AuroraAgent::new(MoccConfig::fast(), Preference::latency(), &mut rng);
+    let sc = Scenario::dumbbell(8e6, 15, 150, 2, 0.01, 8);
+    let res = Simulator::new(
+        sc,
+        vec![
+            Box::new(AuroraCc::new(&agent, 3e6)),
+            cc::by_name("cubic").unwrap(),
+        ],
+    )
+    .run();
+    assert_eq!(
+        sha256_hex(sim_fingerprint(&res).as_bytes()),
+        PINNED_AURORA_CC_SHA256
+    );
+}
+
+/// `MoccLib`'s rate sequence over a fixed status series that crosses
+/// every feature clamp, with a re-registration half way.
+#[test]
+fn mocc_lib_rates_match_pinned_digest() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
+    let mut lib = MoccLib::new(&agent, 3e6);
+    lib.register(Preference::balanced());
+    let mut s = String::new();
+    for i in 0..240u32 {
+        if i == 120 {
+            lib.register(Preference::new(0.1, 0.1, 0.8));
+        }
+        let x = f64::from(i);
+        lib.report_status(NetStatus {
+            send_ratio: 0.8 + 3.5 * (0.37 * x).sin().abs() + f64::from(i % 17) * 0.2,
+            latency_ratio: 1.0 + 2.8 * (0.11 * x).cos().abs() + f64::from(i % 29) * 0.15,
+            latency_gradient: 0.3 * (0.23 * x).sin() - 0.05,
+        })
+        .unwrap();
+        write!(s, "{:016x} ", lib.get_sending_rate().unwrap().to_bits()).unwrap();
+    }
+    assert_eq!(sha256_hex(s.as_bytes()), PINNED_MOCC_LIB_SHA256);
+}
+
+/// The training environment, with and without the preference in the
+/// observation, under a scripted action sequence long enough to reach
+/// the `4 × capacity` ceiling and the 10 kbps floor.
+#[test]
+fn env_episodes_match_pinned_digest() {
+    let cfg = MoccConfig {
+        episode_mis: 160,
+        ..MoccConfig::fast()
+    };
+    let mut s = String::new();
+    for include_pref in [true, false] {
+        let sc = Scenario::single(5e6, 20, 300, 0.01, 60);
+        let mut env = MoccEnv::fixed(cfg, Preference::new(0.6, 0.3, 0.1), sc, 3);
+        if !include_pref {
+            env = env.without_pref_obs();
+        }
+        let mut push = |obs: &[f32], r: f32| {
+            for x in obs {
+                write!(s, "{:08x}", x.to_bits()).unwrap();
+            }
+            writeln!(s, " {:08x}", r.to_bits()).unwrap();
+        };
+        push(&env.reset(), 0.0);
+        for step in 0..200usize {
+            let action = match step {
+                0..=79 => 3.0,
+                80..=159 => -2.5,
+                _ => ((step as f32) * 0.7).sin() * 1.5,
+            };
+            let (obs, r, done) = env.step(action);
+            push(&obs, r);
+            if done {
+                push(&env.reset(), 0.0);
+            }
+        }
+    }
+    assert_eq!(sha256_hex(s.as_bytes()), PINNED_ENV_SHA256);
+}
+
+const PINNED_SWEEP_MOCC_BAL_SHA256: &str =
+    "80d241e789df24e7cbce52acf04a14f2b74aa519b78231badacc484d78c085c1";
+const PINNED_MOCC_CC_SHA256: &str =
+    "51a75814018d6b59c0a82d76d44ac1344cf89e87d5114a623107b5554753ef09";
+const PINNED_AURORA_CC_SHA256: &str =
+    "b5d5812dfe6b308c2b89eb2f78cd5d8834f233bc7d83de7955f17c304d97df85";
+const PINNED_MOCC_LIB_SHA256: &str =
+    "a98ba2dce12504617a41effd939bd4ea3e1a8be33ecb65d4f6dab843b154fe52";
+const PINNED_ENV_SHA256: &str = "8b24a5d0cf107d52b9bdc0e6fdb9778334d38f5a7ecd259b53e667c1a6f442ae";
