@@ -3,7 +3,7 @@
 //! interval) versus heuristic per-ACK arithmetic (kernel datapaths).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mocc_core::{stats_features, MoccAgent, MoccConfig, Preference};
+use mocc_core::{stats_features, Controller, MoccAgent, MoccConfig, Preference};
 use mocc_netsim::cc::{AckInfo, RateControl, SenderView};
 use mocc_netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -28,10 +28,14 @@ fn bench_inference(c: &mut Criterion) {
     // avoid depending on the model cache inside benches.
     let mut rng = StdRng::seed_from_u64(0);
     let agent = MoccAgent::new(MoccConfig::default(), &mut rng);
-    let hist = vec![0.1f32; 30];
     let pref = Preference::throughput();
+    let ctl = Controller::new(agent.cfg, Some(pref));
+    let mut obs = vec![0.0f32; ctl.obs_dim()];
     c.bench_function("mocc_prefnet_inference", |b| {
-        b.iter(|| black_box(agent.act(black_box(&pref), black_box(&hist))))
+        b.iter(|| {
+            black_box(&ctl).write_obs(&mut obs);
+            black_box(agent.ppo.policy.mean_action(&obs))
+        })
     });
 
     let aurora = mocc_core::AuroraAgent::new(MoccConfig::default(), pref, &mut rng);

@@ -10,7 +10,7 @@
 //! under Criterion for confidence intervals.
 
 use mocc_bench::timing::Stopwatch;
-use mocc_core::{stats_features, Preference};
+use mocc_core::{stats_features, Controller, Preference};
 use mocc_netsim::cc::{AckInfo, CongestionControl, RateControl, SenderView};
 use mocc_netsim::time::{SimDuration, SimTime};
 
@@ -30,11 +30,14 @@ fn main() {
     let agent = mocc_bench::trained_mocc();
     let aurora = mocc_bench::trained_aurora("thr", Preference::throughput());
 
-    // Inference cost of the two model families.
-    let hist = vec![0.1f32; 30];
+    // Inference cost of the two model families: the §4.1 observation
+    // write plus one forward pass.
+    let mocc_ctl = Controller::new(agent.cfg, Some(Preference::throughput()));
+    let mut mocc_obs = vec![0.0f32; mocc_ctl.obs_dim()];
     let mocc_inf = measure(
         || {
-            std::hint::black_box(agent.act(&Preference::throughput(), std::hint::black_box(&hist)));
+            std::hint::black_box(&mocc_ctl).write_obs(&mut mocc_obs);
+            std::hint::black_box(agent.ppo.policy.mean_action(&mocc_obs));
         },
         200_000,
     );

@@ -79,7 +79,9 @@ fn run_panel(
                 .parse(&label)
                 .expect("every figure scheme is registered");
             let exp = ExperimentSpec::from_sweep(&label, parsed, &spec);
-            let report = runner.run_in(&exp, registry).expect("valid figure spec");
+            let (report, _) = runner
+                .run_in(&exp, registry, None, None)
+                .expect("valid figure spec");
             let vals: Vec<f64> = report
                 .cells
                 .iter()

@@ -13,7 +13,7 @@
 
 use crate::timing::Stopwatch;
 use mocc_core::{MoccAgent, MoccConfig, Preference};
-use mocc_eval::{BaselineFactory, FlowLoad, SweepRunner, SweepSpec, TraceShape};
+use mocc_eval::{ExperimentSpec, FlowLoad, SchemeSpec, SweepRunner, SweepSpec, TraceShape};
 use mocc_netsim::{Scenario, Simulator};
 use mocc_nn::{Activation, Mlp};
 use mocc_rl::ppo::{Ppo, PpoConfig};
@@ -229,11 +229,13 @@ fn sim_steps_per_sec(reps: u64) -> f64 {
 fn sweep_cells_per_sec(threads: usize, reps: u64) -> f64 {
     let spec = reference_sweep();
     let cells = spec.cell_count() as f64;
+    let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
     let runner = SweepRunner::with_threads(threads);
     let secs = best_of(reps, || {
         black_box(
             runner
-                .run_factory(&spec, "cubic", &BaselineFactory::new("cubic"))
+                .run(&exp)
+                .expect("the reference sweep is a valid spec")
                 .summary
                 .mean_utility,
         );

@@ -1,7 +1,6 @@
 //! The MOCC agent: preference-conditioned actor-critic.
 
 use crate::config::MoccConfig;
-use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_rl::{GaussianPolicy, Ppo, PpoConfig};
 use rand::Rng;
@@ -36,16 +35,6 @@ impl MoccAgent {
         }
     }
 
-    /// Deterministic action for `pref` given a flattened history
-    /// observation (η × 3 features, oldest first).
-    pub fn act(&self, pref: &Preference, history: &[f32]) -> f32 {
-        debug_assert_eq!(history.len(), 3 * self.cfg.history);
-        let mut obs = Vec::with_capacity(3 + history.len());
-        obs.extend_from_slice(&pref.as_array());
-        obs.extend_from_slice(history);
-        self.ppo.policy.mean_action(&obs)
-    }
-
     /// Serializes the agent to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("agent serialization")
@@ -71,16 +60,27 @@ impl MoccAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::Controller;
+    use crate::preference::Preference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The deterministic action for `pref` after η intervals of
+    /// `features` — the observation every deployment assembles.
+    fn act(agent: &MoccAgent, pref: Preference, features: f32) -> f32 {
+        let mut ctl = Controller::new(agent.cfg, Some(pref));
+        for _ in 0..agent.cfg.history {
+            ctl.push([features; 3]);
+        }
+        agent.ppo.policy.mean_action(&ctl.obs())
+    }
 
     #[test]
     fn act_depends_on_preference() {
         let mut rng = StdRng::seed_from_u64(0);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
-        let hist = vec![0.1f32; 30];
-        let a = agent.act(&Preference::throughput(), &hist);
-        let b = agent.act(&Preference::latency(), &hist);
+        let a = act(&agent, Preference::throughput(), 0.1);
+        let b = act(&agent, Preference::latency(), 0.1);
         assert!(a.is_finite() && b.is_finite());
         assert_ne!(a, b, "preference must steer the policy");
     }
@@ -90,10 +90,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         let back = MoccAgent::from_json(&agent.to_json()).unwrap();
-        let hist = vec![0.2f32; 30];
         assert_eq!(
-            agent.act(&Preference::balanced(), &hist),
-            back.act(&Preference::balanced(), &hist)
+            act(&agent, Preference::balanced(), 0.2),
+            act(&back, Preference::balanced(), 0.2)
         );
     }
 
@@ -104,10 +103,9 @@ mod tests {
         let dir = std::env::temp_dir().join("mocc-agent-test.json");
         agent.save(&dir).unwrap();
         let back = MoccAgent::load(&dir).unwrap();
-        let hist = vec![0.0f32; 30];
         assert_eq!(
-            agent.act(&Preference::throughput(), &hist),
-            back.act(&Preference::throughput(), &hist)
+            act(&agent, Preference::throughput(), 0.0),
+            act(&back, Preference::throughput(), 0.0)
         );
         let _ = std::fs::remove_file(dir);
     }

@@ -17,7 +17,9 @@
 //! `mocc`/`mocc:<pref>`-labelled flow runs in external-agent mode, so
 //! several preference-conditioned MOCC flows can *compete* on one
 //! bottleneck while the chunk's monitor-interval decisions are still
-//! served from batched forward passes.
+//! served from batched forward passes. Both kinds run one lockstep
+//! loop: a sweep cell is simply a lineup whose flow 0 is
+//! policy-driven.
 
 use crate::agent::MoccAgent;
 use crate::config::MoccConfig;
@@ -29,7 +31,7 @@ use mocc_eval::{
     CompetitionEvaluator, MoccPrefSpec, SchemeKind, SchemeSpec, SpecError, SweepCell,
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
-use mocc_netsim::Simulator;
+use mocc_netsim::{Scenario, SimResult, Simulator};
 use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 
@@ -109,100 +111,91 @@ pub fn preference_from_spec(spec: &MoccPrefSpec) -> Preference {
     }
 }
 
-/// Per-cell in-flight state while a batch runs.
-struct CellRun {
-    index: usize,
-    sim: Simulator,
-    ctl: Controller,
+/// A cell kind the lockstep loop runs: its scenario, which flows the
+/// policy drives (and under which preference), what drives the rest,
+/// and how a finished simulation reduces to a report.
+trait LockstepCell {
+    fn scenario(&self) -> &Scenario;
+
+    /// The preference conditioning flow `flow`'s observation when the
+    /// policy drives it; `None` for a fixed controller.
+    fn policy_pref(&self, ev: &BatchMoccEvaluator, flow: usize) -> Option<Preference>;
+
+    /// The controller of a flow the policy does not drive.
+    fn fixed(&self, flow: usize) -> Box<dyn CongestionControl>;
+
+    fn reduce(&self, res: &SimResult) -> CellReport;
 }
 
-impl CellEvaluator for BatchMoccEvaluator {
-    fn batch_size(&self) -> usize {
-        self.batch
+/// A sweep cell is a lineup whose flow 0 runs the policy under the
+/// evaluator's preference and whose other flows are cross traffic
+/// paced by [`FixedRate`] at the cell's peak bandwidth.
+impl LockstepCell for SweepCell {
+    fn scenario(&self) -> &Scenario {
+        &self.scenario
     }
 
-    fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        let obs_dim = self.cfg.obs_dim();
-        let mut scratch = PolicyScratch::default();
-        let mut obs = Matrix::default();
-        let mut means: Vec<f32> = Vec::with_capacity(cells.len());
-        let mut reports: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
+    fn policy_pref(&self, ev: &BatchMoccEvaluator, flow: usize) -> Option<Preference> {
+        (flow == 0).then_some(ev.pref)
+    }
 
-        // Launch one external-agent simulator per cell.
-        let mut runs: Vec<CellRun> = cells
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| {
-                let peak = cell.scenario.link.trace.max_rate();
-                let ccs: Vec<Box<dyn CongestionControl>> = (0..cell.scenario.flows.len())
-                    .map(|flow| -> Box<dyn CongestionControl> {
-                        if flow == 0 {
-                            Box::new(ExternalRate {
-                                initial_rate_bps: self.initial_rate_frac * peak,
-                            })
-                        } else {
-                            Box::new(FixedRate::new(peak))
-                        }
-                    })
-                    .collect();
-                CellRun {
-                    index,
-                    sim: Simulator::new(cell.scenario.clone(), ccs),
-                    ctl: Controller::new(self.cfg, Some(self.pref)),
-                }
-            })
-            .collect();
+    fn fixed(&self, _flow: usize) -> Box<dyn CongestionControl> {
+        Box::new(FixedRate::new(self.scenario.link.trace.max_rate()))
+    }
 
-        // Lockstep rounds: advance every live cell to its next monitor
-        // interval, batch all observations into one forward pass, then
-        // apply the Eq. 1 rate update per cell.
-        while !runs.is_empty() {
-            let mut i = 0;
-            while i < runs.len() {
-                match runs[i].sim.advance_until_monitor(0) {
-                    Some(stats) => {
-                        runs[i].ctl.observe(&stats);
-                        i += 1;
-                    }
-                    None => {
-                        // Horizon reached: reduce to metrics and drop
-                        // out of the batch.
-                        let run = runs.swap_remove(i);
-                        let cell = &cells[run.index];
-                        reports[run.index] = Some(CellReport::from_sim(cell, &run.sim.result()));
-                    }
-                }
-            }
-            if runs.is_empty() {
-                break;
-            }
-            obs.reshape(runs.len(), obs_dim);
-            for (r, run) in runs.iter().enumerate() {
-                run.ctl.write_obs(obs.row_mut(r));
-            }
-            self.policy
-                .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
-            for (run, &mean) in runs.iter_mut().zip(&means) {
-                let next = run.ctl.next_rate(run.sim.rate(0), mean);
-                run.sim.set_rate(0, next);
-            }
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every cell produced a report"))
-            .collect()
+    fn reduce(&self, res: &SimResult) -> CellReport {
+        CellReport::from_sim(self, res)
     }
 }
 
-/// Per-flow state of one externally driven (MOCC) flow in a
-/// competition cell.
+/// In a competition cell every `mocc` / `mocc:<pref>`-labelled flow
+/// runs the policy — so one cell may hold *several* competing MOCC
+/// flows with different preferences — and every other label is a
+/// built-in baseline, as is the friendliness control.
+impl LockstepCell for CompetitionCell {
+    fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
+
+    fn policy_pref(&self, ev: &BatchMoccEvaluator, flow: usize) -> Option<Preference> {
+        ev.mocc_pref(&self.labels[flow])
+            .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
+    }
+
+    fn fixed(&self, flow: usize) -> Box<dyn CongestionControl> {
+        contender(&self.labels[flow])
+    }
+
+    fn reduce(&self, res: &SimResult) -> CellReport {
+        competition_report(self, res, &contender)
+    }
+}
+
+/// A built-in baseline by label; validated specs name no other.
+fn contender(label: &str) -> Box<dyn CongestionControl> {
+    contender_by_name(label).unwrap_or_else(|| {
+        panic!(
+            "{} (spec not validated?)",
+            SpecError::UnknownScheme {
+                name: label.to_string(),
+                known: mocc_eval::SchemeRegistry::builtin()
+                    .names()
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect(),
+            }
+        )
+    })
+}
+
+/// One policy-driven flow of a running cell.
 struct MoccFlow {
     flow: usize,
     ctl: Controller,
 }
 
-/// Per-cell in-flight state while a competition batch runs.
-struct CompetitionRun {
+/// Per-cell in-flight state while a batch runs.
+struct CellRun {
     index: usize,
     sim: Simulator,
     /// `controlled[f]` marks flow `f` as policy-driven.
@@ -212,7 +205,7 @@ struct CompetitionRun {
     paused: usize,
 }
 
-impl CompetitionRun {
+impl CellRun {
     /// The controller of the flow that paused the simulator.
     fn paused_ctl(&self) -> &Controller {
         &self
@@ -224,70 +217,49 @@ impl CompetitionRun {
     }
 }
 
-/// Competition cells through the same batched policy: every flow whose
-/// label is `mocc` / `mocc:<pref>` runs in external-agent mode — so one
-/// cell may hold *several* competing MOCC flows with different
-/// preferences — and every paused flow across the whole chunk is
-/// served from one batched forward pass per lockstep round. Non-MOCC
-/// labels resolve through the `mocc-cc` baseline registry. Each cell's
-/// decision sequence depends only on its own event order, so reports
-/// stay byte-identical across batch sizes and worker counts.
-impl CompetitionEvaluator for BatchMoccEvaluator {
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
+impl BatchMoccEvaluator {
+    /// The one lockstep loop behind both evaluator impls: launches one
+    /// external-agent simulator per cell, then in each round advances
+    /// every live cell to the next monitor interval of *any* of its
+    /// policy-driven flows, stacks one observation per paused cell
+    /// (conditioned on that flow's preference and history), forwards
+    /// once, and applies each decision to the flow that asked for it.
+    /// Each cell's decision sequence depends only on its own event
+    /// order, so reports stay byte-identical across batch sizes and
+    /// worker counts.
+    fn eval_lockstep<C: LockstepCell>(&self, cells: &[C]) -> Vec<CellReport> {
         let obs_dim = self.cfg.obs_dim();
         let mut scratch = PolicyScratch::default();
         let mut obs = Matrix::default();
         let mut means: Vec<f32> = Vec::with_capacity(cells.len());
         let mut reports: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
 
-        let mut runs: Vec<CompetitionRun> = cells
+        let mut runs: Vec<CellRun> = cells
             .iter()
             .enumerate()
             .map(|(index, cell)| {
-                let peak = cell.scenario.link.trace.max_rate();
-                let mut controlled = vec![false; cell.labels.len()];
+                let scenario = cell.scenario();
+                let peak = scenario.link.trace.max_rate();
+                let mut controlled = vec![false; scenario.flows.len()];
                 let mut mocc = Vec::new();
-                let ccs: Vec<Box<dyn CongestionControl>> = cell
-                    .labels
-                    .iter()
-                    .enumerate()
-                    .map(|(flow, label)| -> Box<dyn CongestionControl> {
-                        let resolved = self
-                            .mocc_pref(label)
-                            .unwrap_or_else(|e| panic!("{e} (spec not validated?)"));
-                        if let Some(pref) = resolved {
-                            controlled[flow] = true;
-                            mocc.push(MoccFlow {
-                                flow,
-                                ctl: Controller::new(self.cfg, Some(pref)),
-                            });
-                            Box::new(ExternalRate {
-                                initial_rate_bps: self.initial_rate_frac * peak,
-                            })
-                        } else {
-                            contender_by_name(label).unwrap_or_else(|| {
-                                panic!(
-                                    "{} (spec not validated?)",
-                                    SpecError::UnknownScheme {
-                                        name: label.to_string(),
-                                        known: mocc_eval::SchemeRegistry::builtin()
-                                            .names()
-                                            .iter()
-                                            .map(|s| s.to_string())
-                                            .collect(),
-                                    }
-                                )
-                            })
-                        }
+                let ccs: Vec<Box<dyn CongestionControl>> = (0..scenario.flows.len())
+                    .map(|flow| -> Box<dyn CongestionControl> {
+                        let Some(pref) = cell.policy_pref(self, flow) else {
+                            return cell.fixed(flow);
+                        };
+                        controlled[flow] = true;
+                        mocc.push(MoccFlow {
+                            flow,
+                            ctl: Controller::new(self.cfg, Some(pref)),
+                        });
+                        Box::new(ExternalRate {
+                            initial_rate_bps: self.initial_rate_frac * peak,
+                        })
                     })
                     .collect();
-                CompetitionRun {
+                CellRun {
                     index,
-                    sim: Simulator::new(cell.scenario.clone(), ccs),
+                    sim: Simulator::new(scenario.clone(), ccs),
                     controlled,
                     mocc,
                     paused: 0,
@@ -295,18 +267,13 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
             })
             .collect();
 
-        // Lockstep rounds: advance every live cell to the next monitor
-        // interval of *any* of its MOCC flows, stack one observation
-        // per paused cell (conditioned on that flow's preference and
-        // history), forward once, apply each decision to the flow that
-        // asked for it.
         while !runs.is_empty() {
             let mut i = 0;
             while i < runs.len() {
                 let cell = &cells[runs[i].index];
                 let finished = loop {
                     let run = &mut runs[i];
-                    let CompetitionRun {
+                    let CellRun {
                         sim, controlled, ..
                     } = run;
                     match sim.advance_until_monitor_where(|f| controlled[f]) {
@@ -316,7 +283,7 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
                             // would be a no-op (it never sends again),
                             // so its pauses are drained here instead
                             // of spending batched inference on them.
-                            let departed = cell.scenario.flows[f]
+                            let departed = cell.scenario().flows[f]
                                 .stop
                                 .is_some_and(|stop| sim.now() >= stop);
                             if departed {
@@ -335,8 +302,10 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
                     }
                 };
                 if finished {
+                    // Horizon reached: reduce to metrics and drop out
+                    // of the batch.
                     let run = runs.swap_remove(i);
-                    reports[run.index] = Some(competition_report(cell, &run.sim.result()));
+                    reports[run.index] = Some(cell.reduce(&run.sim.result()));
                 } else {
                     i += 1;
                 }
@@ -359,6 +328,26 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
             .into_iter()
             .map(|r| r.expect("every cell produced a report"))
             .collect()
+    }
+}
+
+impl CellEvaluator for BatchMoccEvaluator {
+    fn batch_size(&self) -> usize {
+        self.batch
+    }
+
+    fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+        self.eval_lockstep(cells)
+    }
+}
+
+impl CompetitionEvaluator for BatchMoccEvaluator {
+    fn batch_size(&self) -> usize {
+        self.batch
+    }
+
+    fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
+        self.eval_lockstep(cells)
     }
 }
 

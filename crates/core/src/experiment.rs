@@ -1,14 +1,14 @@
 //! The policy-aware experiment runner: every `ExperimentSpec` — MOCC
-//! or not — end to end.
+//! or not, cached or not — end to end.
 //!
-//! `mocc-eval`'s [`SweepRunner::run`] executes any spec whose schemes
-//! the registry can instantiate, but `mocc` / `mocc:<pref>` labels
-//! need a *policy*. [`run_experiment`] closes that gap: it validates
-//! the spec, materializes the agent its [`PolicySpec`] describes
-//! (a saved model file or a seeded fresh agent — both reproducible),
-//! wraps it in the batched [`BatchMoccEvaluator`], and drives the same
-//! sharded runner. Specs without `mocc` schemes are delegated
-//! unchanged, so this is the one entry point a CLI needs.
+//! `mocc-eval`'s [`SweepRunner::run_in`] executes any spec whose
+//! schemes the registry can instantiate, but `mocc` / `mocc:<pref>`
+//! labels need a *policy*. [`run_experiment_in`] closes that gap: it
+//! validates the spec, materializes the agent its [`PolicySpec`]
+//! describes (a saved model file or a seeded fresh agent — both
+//! reproducible), wraps it in the batched [`BatchMoccEvaluator`], and
+//! hands both to that one entry point. Specs without `mocc` schemes
+//! pass straight through, so this is the one entry point a CLI needs.
 
 use crate::agent::MoccAgent;
 use crate::batch_eval::{preference_from_spec, BatchMoccEvaluator};
@@ -45,39 +45,43 @@ pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
     Ok(MoccAgent::new(cfg, &mut rng))
 }
 
-/// Builds the batched evaluator a spec's policy section describes.
-/// The default preference (served to bare `mocc` labels, and to every
-/// competition flow's observation conditioning) is `policy.preference`
-/// unless `pref_override` is given (the sweep path overrides it with
-/// the scheme's explicit `mocc:<pref>`).
-pub fn evaluator_from_policy(
-    policy: &PolicySpec,
-    pref_override: Option<crate::Preference>,
-) -> Result<BatchMoccEvaluator, SpecError> {
-    let agent = agent_from_policy(policy)?;
-    let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
-    Ok(
-        BatchMoccEvaluator::new(&agent, pref, policy.initial_rate_frac)
-            .with_batch_size(policy.batch)
-            .with_fast_math(policy.fast_math),
-    )
-}
-
 /// Runs any [`ExperimentSpec`] — the complete entry point behind the
-/// `mocc` CLI. Baseline-only specs delegate to
-/// [`SweepRunner::run`]; specs with `mocc` schemes are served by the
-/// batched inference path, reproducibly materialized from the spec's
-/// policy section. The report carries the experiment's name as its
-/// controller label and inherits the runner's byte-identity contract
-/// (any thread count, any batch size).
+/// `mocc` CLI. Baseline-only specs run on the built-in registry;
+/// specs with `mocc` schemes are served by the batched inference
+/// path, reproducibly materialized from the spec's policy section.
+/// The report carries the experiment's name as its controller label
+/// and inherits the runner's byte-identity contract (any thread
+/// count, any batch size).
 pub fn run_experiment(
     runner: &SweepRunner,
     exp: &ExperimentSpec,
 ) -> Result<SweepReport, SpecError> {
-    run_experiment_in(runner, exp, &SchemeRegistry::builtin())
+    run_experiment_in(runner, exp, &SchemeRegistry::builtin(), None).map(|(report, _)| report)
 }
 
-/// [`run_experiment`] against a custom (pluggable) registry.
+/// The memoizing counterpart of [`run_experiment`]: serves every cell
+/// it can from `store` and simulates only the misses, with the merged
+/// report byte-identical to an uncached run. `ts` is the caller's
+/// ledger timestamp — libraries never read a clock.
+pub fn run_experiment_cached(
+    runner: &SweepRunner,
+    exp: &ExperimentSpec,
+    store: &ResultStore,
+    ts: u64,
+) -> Result<(SweepReport, CacheStats), SpecError> {
+    run_experiment_in(runner, exp, &SchemeRegistry::builtin(), Some((store, ts)))
+}
+
+/// [`run_experiment`] against a custom (pluggable) registry, cached
+/// in `store` at ledger timestamp `ts` when `cache` is given
+/// (uncached runs report zero hits and misses).
+///
+/// The evaluator's default preference — served to bare `mocc` labels
+/// and to every competition flow without its own — is
+/// `policy.preference`, except that a sweep under `mocc:<pref>` runs
+/// its explicit preference. Cached `mocc` cells are keyed by the
+/// agent's [`policy_digest`], so a retrained or edited model can never
+/// be served another model's cells.
 ///
 /// One restriction: in a competition that mixes `mocc` flows with
 /// registry schemes, the non-MOCC contenders (and the `tcp_baseline`)
@@ -88,32 +92,35 @@ pub fn run_experiment_in(
     runner: &SweepRunner,
     exp: &ExperimentSpec,
     registry: &SchemeRegistry,
-) -> Result<SweepReport, SpecError> {
+    cache: Option<(&ResultStore, u64)>,
+) -> Result<(SweepReport, CacheStats), SpecError> {
     exp.validate_in(registry)?;
-    if !exp.needs_policy() {
-        return runner.run_in(exp, registry);
-    }
-    let policy = exp.policy.as_ref().expect("validate_in requires a policy");
-    match &exp.workload {
-        Workload::Sweep(w) => {
-            let pref = match w.scheme.kind() {
-                SchemeKind::Mocc(p) => Some(preference_from_spec(p)),
-                SchemeKind::MoccDefault => None,
-                SchemeKind::Registry => unreachable!("needs_policy implies a mocc scheme"),
-            };
-            let evaluator = evaluator_from_policy(policy, pref)?;
-            let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-            Ok(runner.run_cells(&spec, &exp.name, &evaluator))
-        }
+    let Some(policy) = exp.policy.as_ref().filter(|_| exp.needs_policy()) else {
+        return runner.run_in(exp, registry, None, cache);
+    };
+    let pref = match &exp.workload {
+        Workload::Sweep(w) => match w.scheme.kind() {
+            SchemeKind::Mocc(p) => p,
+            SchemeKind::MoccDefault => &policy.preference,
+            SchemeKind::Registry => unreachable!("needs_policy implies a mocc scheme"),
+        },
         Workload::Competition(_) => {
             check_builtin_contenders(exp)?;
-            let evaluator = evaluator_from_policy(policy, None)?;
-            let spec = exp
-                .to_competition_spec()
-                .expect("competition workload lowers");
-            Ok(runner.run_competition_cells(&spec, &exp.name, &evaluator))
+            &policy.preference
         }
-    }
+    };
+    let agent = agent_from_policy(policy)?;
+    let evaluator =
+        BatchMoccEvaluator::new(&agent, preference_from_spec(pref), policy.initial_rate_frac)
+            .with_batch_size(policy.batch)
+            .with_fast_math(policy.fast_math);
+    let identity = || PolicyIdentity {
+        digest: policy_digest(&agent),
+        preference: policy.preference.label(),
+        initial_rate_frac: policy.initial_rate_frac,
+        fast_math: policy.fast_math,
+    };
+    runner.run_in(exp, registry, Some((&evaluator, &identity)), cache)
 }
 
 /// Competitions mixing `mocc` flows with registry schemes resolve the
@@ -144,89 +151,6 @@ fn check_builtin_contenders(exp: &ExperimentSpec) -> Result<(), SpecError> {
 /// from disk.
 pub fn policy_digest(agent: &MoccAgent) -> String {
     mocc_store::sha256_hex(agent.to_json().as_bytes())
-}
-
-/// The memoizing counterpart of [`run_experiment`]: serves every cell
-/// it can from `store` and simulates only the misses, with the merged
-/// report byte-identical to an uncached run. Policy-free specs
-/// delegate to [`SweepRunner::run_cached`]; `mocc` specs materialize
-/// the agent first and key their cells by its [`policy_digest`], so a
-/// retrained or edited model can never be served another model's
-/// cells. `ts` is the caller's ledger timestamp — libraries never
-/// read a clock.
-pub fn run_experiment_cached(
-    runner: &SweepRunner,
-    exp: &ExperimentSpec,
-    store: &ResultStore,
-    ts: u64,
-) -> Result<(SweepReport, CacheStats), SpecError> {
-    run_experiment_cached_in(runner, exp, &SchemeRegistry::builtin(), store, ts)
-}
-
-/// [`run_experiment_cached`] against a custom (pluggable) registry;
-/// same restrictions as [`run_experiment_in`].
-pub fn run_experiment_cached_in(
-    runner: &SweepRunner,
-    exp: &ExperimentSpec,
-    registry: &SchemeRegistry,
-    store: &ResultStore,
-    ts: u64,
-) -> Result<(SweepReport, CacheStats), SpecError> {
-    exp.validate_in(registry)?;
-    if !exp.needs_policy() {
-        return runner.run_cached_in(exp, registry, store, ts);
-    }
-    let policy = exp.policy.as_ref().expect("validate_in requires a policy");
-    let agent = agent_from_policy(policy)?;
-    let identity = PolicyIdentity {
-        digest: policy_digest(&agent),
-        preference: policy.preference.label(),
-        initial_rate_frac: policy.initial_rate_frac,
-        fast_math: policy.fast_math,
-    };
-    match &exp.workload {
-        Workload::Sweep(w) => {
-            let pref = match w.scheme.kind() {
-                SchemeKind::Mocc(p) => preference_from_spec(p),
-                SchemeKind::MoccDefault => preference_from_spec(&policy.preference),
-                SchemeKind::Registry => unreachable!("needs_policy implies a mocc scheme"),
-            };
-            let evaluator = BatchMoccEvaluator::new(&agent, pref, policy.initial_rate_frac)
-                .with_batch_size(policy.batch)
-                .with_fast_math(policy.fast_math);
-            let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-            Ok(runner.run_cells_cached(
-                &spec,
-                &exp.name,
-                w.scheme.label(),
-                &evaluator,
-                store,
-                Some(&identity),
-                ts,
-            ))
-        }
-        Workload::Competition(_) => {
-            check_builtin_contenders(exp)?;
-            let evaluator = BatchMoccEvaluator::new(
-                &agent,
-                preference_from_spec(&policy.preference),
-                policy.initial_rate_frac,
-            )
-            .with_batch_size(policy.batch)
-            .with_fast_math(policy.fast_math);
-            let spec = exp
-                .to_competition_spec()
-                .expect("competition workload lowers");
-            Ok(runner.run_competition_cells_cached(
-                &spec,
-                &exp.name,
-                &evaluator,
-                store,
-                Some(&identity),
-                ts,
-            ))
-        }
-    }
 }
 
 #[cfg(test)]

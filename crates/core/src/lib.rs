@@ -19,16 +19,19 @@
 //! ## Quickstart
 //!
 //! ```
-//! use mocc_core::{MoccAgent, MoccConfig, Preference};
+//! use mocc_core::{Controller, MoccAgent, MoccConfig, Preference};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
 //! // One model, many objectives: actions differ by preference.
-//! let hist = vec![0.0f32; 30];
-//! let a = agent.act(&Preference::throughput(), &hist);
-//! let b = agent.act(&Preference::latency(), &hist);
+//! let act = |pref| {
+//!     let ctl = Controller::new(agent.cfg, Some(pref));
+//!     agent.ppo.policy.mean_action(&ctl.obs())
+//! };
+//! let a = act(Preference::throughput());
+//! let b = act(Preference::latency());
 //! assert!(a.is_finite() && b.is_finite());
 //! ```
 
@@ -62,8 +65,7 @@ pub use config::MoccConfig;
 pub use controller::{stats_features, write_obs, Controller};
 pub use env::{MoccEnv, ScenarioSource};
 pub use experiment::{
-    agent_from_policy, evaluator_from_policy, policy_digest, run_experiment, run_experiment_cached,
-    run_experiment_cached_in, run_experiment_in,
+    agent_from_policy, policy_digest, run_experiment, run_experiment_cached, run_experiment_in,
 };
 pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
 pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};

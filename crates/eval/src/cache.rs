@@ -7,8 +7,8 @@
 //! [`CellReport`] blob, and serve every later request for the same
 //! cell from disk. This module derives the **cache key** — the
 //! SHA-256 of a canonical-JSON *request document* capturing everything
-//! that determines the cell's bytes — and implements the cached
-//! counterpart of the sharded chunked executor.
+//! that determines the cell's bytes — and the hit discipline the
+//! runner's executor applies to every blob the store serves.
 //!
 //! ## Key derivation (frozen; see `docs/CACHING.md`)
 //!
@@ -37,7 +37,6 @@
 
 use crate::competition::CompetitionCell;
 use crate::report::CellReport;
-use crate::runner::run_chunked;
 use crate::spec::SweepCell;
 use crate::{CompetitionSpec, SweepSpec};
 use mocc_store::{sha256_hex, ResultStore};
@@ -223,51 +222,19 @@ pub fn competition_cell_key(
     doc_key(obj)
 }
 
-/// Serves what it can from the store, simulates the rest through the
-/// usual chunked executor, and writes the fresh blobs back. Store
-/// writes are best-effort: a full disk degrades the cache, never the
-/// run. Returns reports in `cells` order plus the hit/miss counters.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cached_cell_reports<T: Sync + Clone>(
-    cells: &[T],
-    keys: &[String],
-    threads: usize,
-    batch: usize,
-    eval: &(dyn Fn(&[T]) -> Vec<CellReport> + Sync),
-    cell_index: &dyn Fn(&T) -> u64,
+/// The report stored under `key`, if the store serves it and it
+/// passes the hit discipline (see the module docs) for the cell at
+/// `index`; anything else is a miss to recompute.
+pub(crate) fn verified_hit(
     store: &ResultStore,
+    key: &str,
     ts: u64,
-) -> (Vec<CellReport>, CacheStats) {
-    assert_eq!(cells.len(), keys.len(), "one key per cell");
-    let mut out: Vec<Option<CellReport>> = vec![None; cells.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        let verified = store.get(key, ts).and_then(|blob| {
-            let report: CellReport = serde_json::from_str(&blob).ok()?;
-            let canonical = serde_json::to_string(&report).expect("report serializes");
-            (canonical == blob && report.index == cell_index(&cells[i])).then_some(report)
-        });
-        match verified {
-            Some(report) => out[i] = Some(report),
-            None => missing.push(i),
-        }
-    }
-    let stats = CacheStats {
-        hits: (cells.len() - missing.len()) as u64,
-        misses: missing.len() as u64,
-    };
-    let miss_cells: Vec<T> = missing.iter().map(|&i| cells[i].clone()).collect();
-    let computed = run_chunked(&miss_cells, threads, batch, eval);
-    for (&slot, report) in missing.iter().zip(computed) {
-        let blob = serde_json::to_string(&report).expect("report serializes");
-        let _ = store.put(&keys[slot], &blob, ts);
-        out[slot] = Some(report);
-    }
-    let reports = out
-        .into_iter()
-        .map(|r| r.expect("every cell resolved"))
-        .collect();
-    (reports, stats)
+    index: u64,
+) -> Option<CellReport> {
+    let blob = store.get(key, ts)?;
+    let report: CellReport = serde_json::from_str(&blob).ok()?;
+    let canonical = serde_json::to_string(&report).expect("report serializes");
+    (canonical == blob && report.index == index).then_some(report)
 }
 
 #[cfg(test)]

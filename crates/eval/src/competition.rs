@@ -525,63 +525,6 @@ pub fn contender_by_name(label: &str) -> Option<Box<dyn CongestionControl>> {
     mocc_cc::by_name(label)
 }
 
-/// Builds the controller for each flow of a competition cell. Shared
-/// by reference across workers, so it must be [`Sync`].
-pub trait ContenderFactory: Sync {
-    /// Instantiates the controller for flow `flow` of `cell`, whose
-    /// scheme label is `label`.
-    ///
-    /// **Label contract:** a label is the flow's scheme *identity* —
-    /// it is what the report prints and what the analytics reason
-    /// about. An implementation that recognizes a `mocc-cc` registry
-    /// name (e.g. `"cubic"`) must return that scheme, exactly as
-    /// [`contender_by_name`] would; custom controllers need custom
-    /// labels. The friendliness shortcut in [`competition_report`] —
-    /// a cell whose labels all equal `tcp_baseline` is its own
-    /// all-TCP control — is sound precisely because of this contract.
-    fn make(&self, cell: &CompetitionCell, flow: usize, label: &str) -> Box<dyn CongestionControl>;
-}
-
-impl<F> ContenderFactory for F
-where
-    F: Fn(&CompetitionCell, usize, &str) -> Box<dyn CongestionControl> + Sync,
-{
-    fn make(&self, cell: &CompetitionCell, flow: usize, label: &str) -> Box<dyn CongestionControl> {
-        self(cell, flow, label)
-    }
-}
-
-/// The default factory: every label must name a `mocc-cc` baseline.
-///
-/// # Panics
-///
-/// [`ContenderFactory::make`] panics on labels unknown to
-/// [`mocc_cc::by_name`] (including `mocc:*` labels, which need a
-/// MOCC-aware evaluator such as `mocc_core::BatchMoccEvaluator`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineContenders;
-
-impl ContenderFactory for BaselineContenders {
-    fn make(
-        &self,
-        _cell: &CompetitionCell,
-        _flow: usize,
-        label: &str,
-    ) -> Box<dyn CongestionControl> {
-        contender_by_name(label).unwrap_or_else(|| {
-            panic!(
-                "{} — mocc:* labels need a MOCC-aware evaluator; validate specs \
-                 (CompetitionSpec::validate_schemes / ExperimentSpec::validate) \
-                 before simulating",
-                SpecError::UnknownScheme {
-                    name: label.to_string(),
-                    known: mocc_cc::BASELINES.iter().map(|s| s.to_string()).collect(),
-                }
-            )
-        })
-    }
-}
-
 /// Evaluates whole batches of competition cells at once — the hook
 /// that lets learned policies batch inference across cells *and*
 /// across competing flows within a cell. Same contract as
@@ -598,79 +541,40 @@ pub trait CompetitionEvaluator: Sync {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport>;
 }
 
-/// Simulates one competition cell under `factory` and reduces it to a
-/// [`CellReport`] with the competition metrics filled in. The all-TCP
-/// friendliness control is built through the *same factory* (the
-/// `tcp_baseline` label per flow), so custom registries serve the
-/// control exactly like they serve contenders; when every contender
-/// already is the `tcp_baseline`, the finished run is its own control
-/// and the redundant second simulation is skipped.
-pub fn run_competition_cell(cell: &CompetitionCell, factory: &dyn ContenderFactory) -> CellReport {
-    let ccs: Vec<Box<dyn CongestionControl>> = cell
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(flow, label)| factory.make(cell, flow, label))
-        .collect();
-    let res = Simulator::new(cell.scenario.clone(), ccs).run();
-    if cell.labels.iter().all(|l| *l == cell.tcp_baseline) {
-        return competition_report_with_baseline(cell, &res, &res);
-    }
-    let base_ccs: Vec<Box<dyn CongestionControl>> = (0..cell.labels.len())
-        .map(|flow| factory.make(cell, flow, &cell.tcp_baseline))
-        .collect();
-    let base = Simulator::new(cell.scenario.clone(), base_ccs).run();
-    competition_report_with_baseline(cell, &res, &base)
-}
-
-/// The all-TCP friendliness control: the same seeded scenario with
-/// every flow running the cell's `tcp_baseline` scheme, resolved
-/// through the built-in baseline vocabulary.
+/// Reduces a finished competition simulation to a [`CellReport`] —
+/// the one place the all-TCP friendliness control is built: the same
+/// seeded scenario with every flow running the cell's `tcp_baseline`,
+/// each controller made by `make` from that label (the scheme registry
+/// for registry runs, [`contender_by_name`] for a policy evaluator's).
 ///
-/// # Panics
-///
-/// Panics if `tcp_baseline` is not a built-in baseline. Spec-driven
-/// paths reject that long before any simulation starts
-/// ([`CompetitionSpec::validate_schemes`] /
-/// `ExperimentSpec::validate`), so hitting this means a spec bypassed
-/// validation.
-pub fn baseline_result(cell: &CompetitionCell) -> SimResult {
-    let ccs: Vec<Box<dyn CongestionControl>> = (0..cell.labels.len())
-        .map(|_| {
-            contender_by_name(&cell.tcp_baseline).unwrap_or_else(|| {
-                panic!(
-                    "{} — run CompetitionSpec::validate_schemes / ExperimentSpec::validate \
-                     before simulating",
-                    SpecError::UnknownScheme {
-                        name: cell.tcp_baseline.clone(),
-                        known: mocc_cc::BASELINES.iter().map(|s| s.to_string()).collect(),
-                    }
-                )
-            })
-        })
-        .collect();
-    Simulator::new(cell.scenario.clone(), ccs).run()
-}
-
-/// Reduces a finished competition simulation to a [`CellReport`],
-/// running the all-TCP control internally for the friendliness ratio.
-/// When every contender already *is* the `tcp_baseline` scheme (e.g.
-/// a CUBIC staircase with a CUBIC control), the finished simulation is
-/// its own control — seed, lifecycles, and (by the
-/// [`ContenderFactory`] label contract) controllers are identical —
-/// so the redundant second run is skipped.
-pub fn competition_report(cell: &CompetitionCell, res: &SimResult) -> CellReport {
+/// When every contender already *is* the `tcp_baseline`, the finished
+/// simulation is its own control and the redundant second run is
+/// skipped. That shortcut rests on the **label contract**: a label is
+/// the flow's scheme identity — what the report prints and the
+/// analytics reason about — so a `make` that knows a `mocc-cc`
+/// registry name (e.g. `"cubic"`) must return that scheme, exactly as
+/// [`contender_by_name`] would; custom controllers need custom labels.
+pub fn competition_report(
+    cell: &CompetitionCell,
+    res: &SimResult,
+    make: &dyn Fn(&str) -> Box<dyn CongestionControl>,
+) -> CellReport {
     if cell.labels.iter().all(|l| *l == cell.tcp_baseline) {
         return competition_report_with_baseline(cell, res, res);
     }
-    let base = baseline_result(cell);
+    let ccs = cell
+        .labels
+        .iter()
+        .map(|_| make(&cell.tcp_baseline))
+        .collect();
+    let base = Simulator::new(cell.scenario.clone(), ccs).run();
     competition_report_with_baseline(cell, res, &base)
 }
 
 /// [`competition_report`] with an explicitly supplied control run
 /// (unit tests inject crafted results; production callers let
 /// [`competition_report`] run the control itself).
-pub fn competition_report_with_baseline(
+fn competition_report_with_baseline(
     cell: &CompetitionCell,
     res: &SimResult,
     base: &SimResult,
@@ -727,6 +631,13 @@ mod tests {
             per_sec_mbits,
             ..FlowResult::default()
         }
+    }
+
+    /// The report of `spec`'s first cell, through the spec entry point.
+    fn first_cell_report(spec: &CompetitionSpec) -> CellReport {
+        let exp = crate::ExperimentSpec::from_competition("competition", spec);
+        let mut report = crate::SweepRunner::with_threads(1).run(&exp).unwrap();
+        report.cells.remove(0)
     }
 
     fn result_with_series(series: Vec<Vec<f64>>, duration_s: u64) -> SimResult {
@@ -839,7 +750,7 @@ mod tests {
         let cell = spec.expand().remove(0);
         assert_eq!(cell.labels.len(), 4);
         assert_eq!(cell.overlap_window(), (2, 10));
-        let rep = run_competition_cell(&cell, &BaselineContenders);
+        let rep = first_cell_report(&spec);
         assert!(rep.goodput_mbps > 1.0, "{rep:?}");
         assert!(rep.jain > 0.0 && rep.jain <= 1.0, "{rep:?}");
     }
@@ -992,8 +903,7 @@ mod tests {
     fn cubic_duel_produces_finite_metrics_end_to_end() {
         let mut spec = CompetitionSpec::quick();
         spec.duration_s = 12;
-        let cell = spec.expand().remove(0);
-        let rep = run_competition_cell(&cell, &BaselineContenders);
+        let rep = first_cell_report(&spec);
         assert!(rep.goodput_mbps > 1.0, "{rep:?}");
         assert!(rep.jain > 0.0 && rep.jain <= 1.0, "{rep:?}");
         let f = rep.friendliness.expect("control run delivered");

@@ -10,7 +10,9 @@
 //!   [`Scenario`]s ([`SweepCell`]s);
 //! - [`SweepRunner`] shards the cells across `std::thread::scope`
 //!   workers (auto-detected count, `MOCC_SWEEP_THREADS` override) and
-//!   runs any [`CongestionControl`] factory on each;
+//!   runs registry schemes on them, one [`CongestionControl`] per
+//!   flow, or hands whole chunks to a batched [`CellEvaluator`] /
+//!   [`CompetitionEvaluator`] (a learned policy's [`PolicyEvaluator`]);
 //! - [`SweepReport`] aggregates per-cell [`MonitorStats`]-derived
 //!   metrics (goodput, mean/p95 RTT, loss, utilization, a scalar
 //!   utility) and serializes to **canonical JSON** — two runs of the
@@ -28,9 +30,11 @@
 //!   typed [`SpecError`] (no panics on bad input);
 //! - [`experiment`] makes whole experiments declarative:
 //!   [`ExperimentSpec`] is a canonical-JSON document over either
-//!   workload, validated up front and executed by the single
-//!   [`SweepRunner::run`] entry point (the `mocc` CLI in `mocc-bench`
-//!   runs spec files end-to-end; see `docs/SPECS.md`).
+//!   workload, validated up front and executed by one entry point,
+//!   [`SweepRunner::run_in`] — any registry, an optional policy, an
+//!   optional result store ([`cache`]) — with [`SweepRunner::run`] its
+//!   built-in-registry shorthand (the `mocc` CLI in `mocc-bench` runs
+//!   spec files end-to-end; see `docs/SPECS.md`).
 //!
 //! [`Scenario`]: mocc_netsim::Scenario
 //! [`CongestionControl`]: mocc_netsim::cc::CongestionControl
@@ -77,16 +81,13 @@ pub mod spec;
 
 pub use cache::{competition_cell_key, sweep_cell_key, CacheStats, PolicyIdentity, CELL_SCHEMA};
 pub use competition::{
-    baseline_result, competition_report, competition_report_with_baseline, contender_by_name,
-    run_competition_cell, BaselineContenders, CompetitionCell, CompetitionEvaluator,
-    CompetitionSpec, ContenderFactory, ContenderMix,
+    competition_report, contender_by_name, CompetitionCell, CompetitionEvaluator, CompetitionSpec,
+    ContenderMix,
 };
 pub use experiment::{
     Axes, CompetitionWorkload, ExperimentSpec, PolicySpec, SweepWorkload, Workload,
 };
 pub use report::{fmt_opt_metric, round6, CellCoords, CellReport, SweepReport, SweepSummary};
-pub use runner::{
-    parse_threads, run_cell, BaselineFactory, CellEvaluator, CellFactory, SweepRunner, THREADS_ENV,
-};
+pub use runner::{parse_threads, CellEvaluator, PolicyEvaluator, SweepRunner, THREADS_ENV};
 pub use scheme::{MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError};
 pub use spec::{cell_seed, FlowLoad, ReplayTrace, SweepCell, SweepSpec, TraceShape};

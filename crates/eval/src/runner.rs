@@ -1,18 +1,23 @@
 //! The sharded sweep executor.
 //!
-//! A [`SweepRunner`] expands a [`SweepSpec`] and distributes the cells
-//! over `std::thread::scope` workers pulling from a shared atomic work
+//! A [`SweepRunner`] expands a spec and distributes the cells over
+//! `std::thread::scope` workers pulling from a shared atomic work
 //! queue. Each cell is simulated independently with its own derived
 //! seed, so the *execution* order is irrelevant: results are slotted
 //! back by cell index and the assembled [`SweepReport`] is identical —
 //! byte for byte in canonical JSON — whatever the worker count.
 //!
 //! Work is pulled in contiguous *chunks* of cells sized by the
-//! [`CellEvaluator`]: per-cell controllers (any [`CellFactory`]) use
-//! chunks of one, while batched evaluators (e.g. a learned policy
-//! running one matmul across many cells) claim whole chunks and
-//! amortize inference over them. Chunking only changes scheduling —
-//! never results.
+//! evaluator: registry schemes run chunks of one, while batched
+//! evaluators (e.g. a learned policy running one matmul across many
+//! cells) claim whole chunks and amortize inference over them.
+//! Chunking only changes scheduling — never results.
+//!
+//! Sweeps and competitions, cached and uncached, registry schemes and
+//! learned policies all take one path: [`SweepRunner::run_in`] lowers
+//! and expands the spec, picks the evaluator, and hands the cells to
+//! one private executor that serves store hits, simulates the misses
+//! and writes them back.
 //!
 //! Worker count resolution, highest priority first:
 //! 1. [`SweepRunner::with_threads`],
@@ -22,17 +27,17 @@
 //! 3. [`std::thread::available_parallelism`].
 
 use crate::cache::{
-    cached_cell_reports, competition_cell_key, sweep_cell_key, CacheStats, PolicyIdentity,
+    competition_cell_key, sweep_cell_key, verified_hit, CacheStats, PolicyIdentity,
 };
 use crate::competition::{
-    run_competition_cell, CompetitionCell, CompetitionEvaluator, CompetitionSpec, ContenderFactory,
+    competition_report, CompetitionCell, CompetitionEvaluator, CompetitionSpec,
 };
 use crate::experiment::{ExperimentSpec, Workload};
 use crate::report::{CellReport, SweepReport};
 use crate::scheme::{SchemeCtx, SchemeRegistry, SchemeSpec, SpecError};
 use crate::spec::{SweepCell, SweepSpec};
 use mocc_netsim::cc::CongestionControl;
-use mocc_netsim::Simulator;
+use mocc_netsim::{Scenario, Simulator};
 use mocc_store::ResultStore;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -40,58 +45,13 @@ use std::sync::Mutex;
 /// Environment variable overriding the auto-detected worker count.
 pub const THREADS_ENV: &str = "MOCC_SWEEP_THREADS";
 
-/// Builds the controllers for one cell — one per flow of the cell's
-/// scenario, in flow order. Shared by reference across workers, so it
-/// must be [`Sync`].
-pub trait CellFactory: Sync {
-    /// Instantiates one controller per flow of `cell`.
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>>;
-}
-
-impl<F> CellFactory for F
-where
-    F: Fn(&SweepCell) -> Vec<Box<dyn CongestionControl>> + Sync,
-{
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        self(cell)
-    }
-}
-
-/// A factory building the named `mocc-cc` baseline for every flow.
-///
-/// # Panics
-///
-/// [`CellFactory::make`] panics if the name is unknown to
-/// [`mocc_cc::by_name`].
-#[derive(Debug, Clone)]
-pub struct BaselineFactory {
-    name: String,
-}
-
-impl BaselineFactory {
-    /// Creates a factory for the named baseline scheme.
-    pub fn new(name: &str) -> Self {
-        BaselineFactory {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl CellFactory for BaselineFactory {
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        (0..cell.scenario.flows.len())
-            .map(|_| mocc_cc::by_name(&self.name).expect("known baseline"))
-            .collect()
-    }
-}
-
 /// Evaluates whole batches of cells at once — the hook that lets
 /// learned policies batch inference across sweep cells (one forward
 /// pass serves a chunk of simulators). Implementations must return one
 /// report per input cell, in order, and must evaluate each cell
 /// independently of its chunk-mates: the runner's byte-identity
 /// contract (same report for any thread count or batch size) relies on
-/// it.
+/// it. The runner never hands over an empty batch.
 pub trait CellEvaluator: Sync {
     /// Preferred cells per chunk (≥ 1). The runner never hands a chunk
     /// larger than this.
@@ -104,51 +64,30 @@ pub trait CellEvaluator: Sync {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport>;
 }
 
-/// A [`CellFactory`] resolving one scheme through a
-/// [`SchemeRegistry`] for every flow of every cell — the spec-driven
-/// sweep path.
-///
-/// # Panics
-///
-/// [`CellFactory::make`] panics (with the typed error's message) if
-/// the scheme is not instantiable; [`crate::ExperimentSpec::validate_in`]
-/// rejects such specs before any cell runs.
-struct RegistryFactory<'a> {
+/// An evaluator for both cell kinds — what a learned policy hands
+/// [`SweepRunner::run_in`] to serve an experiment's `mocc` flows
+/// (`mocc_core::BatchMoccEvaluator` is one). Implemented for every
+/// type that implements [`CellEvaluator`] and [`CompetitionEvaluator`].
+pub trait PolicyEvaluator: CellEvaluator + CompetitionEvaluator {}
+
+impl<T: CellEvaluator + CompetitionEvaluator> PolicyEvaluator for T {}
+
+/// Registry schemes on every flow, one cell at a time: the sweep's
+/// scheme on each flow of a sweep cell, each contender's own label in
+/// a competition cell (and the `tcp_baseline` in its friendliness
+/// control). Specs are validated before any cell runs, so a label the
+/// registry cannot instantiate here is a bug, not an input error.
+struct RegistryEvaluator<'a> {
     registry: &'a SchemeRegistry,
-    scheme: &'a SchemeSpec,
+    /// The sweep's scheme label; competition cells carry their own.
+    scheme: Option<&'a str>,
 }
 
-impl CellFactory for RegistryFactory<'_> {
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
+impl RegistryEvaluator<'_> {
+    /// Instantiates `label` for a flow of `scenario`.
+    fn make(&self, scenario: &Scenario, label: &str) -> Box<dyn CongestionControl> {
         let ctx = SchemeCtx {
-            peak_rate_bps: cell.scenario.link.trace.max_rate(),
-        };
-        (0..cell.scenario.flows.len())
-            .map(|_| {
-                self.registry
-                    .instantiate(self.scheme, &ctx)
-                    .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
-            })
-            .collect()
-    }
-}
-
-/// A [`ContenderFactory`] resolving every contender label through a
-/// [`SchemeRegistry`] — the spec-driven competition path. Same
-/// validate-before-run contract as [`RegistryFactory`].
-struct RegistryContenders<'a> {
-    registry: &'a SchemeRegistry,
-}
-
-impl ContenderFactory for RegistryContenders<'_> {
-    fn make(
-        &self,
-        cell: &CompetitionCell,
-        _flow: usize,
-        label: &str,
-    ) -> Box<dyn CongestionControl> {
-        let ctx = SchemeCtx {
-            peak_rate_bps: cell.scenario.link.trace.max_rate(),
+            peak_rate_bps: scenario.link.trace.max_rate(),
         };
         self.registry
             .instantiate_label(label, &ctx)
@@ -156,29 +95,31 @@ impl ContenderFactory for RegistryContenders<'_> {
     }
 }
 
-/// Adapter running a per-cell [`CellFactory`] as a chunk-of-one
-/// [`CellEvaluator`].
-struct FactoryEvaluator<'a> {
-    factory: &'a dyn CellFactory,
-}
-
-impl CellEvaluator for FactoryEvaluator<'_> {
+impl CellEvaluator for RegistryEvaluator<'_> {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        cells.iter().map(|c| run_cell(c, self.factory)).collect()
+        let label = self.scheme.expect("sweep runs name their scheme");
+        cells
+            .iter()
+            .map(|cell| {
+                let ccs = (0..cell.scenario.flows.len())
+                    .map(|_| self.make(&cell.scenario, label))
+                    .collect();
+                CellReport::from_sim(cell, &Simulator::new(cell.scenario.clone(), ccs).run())
+            })
+            .collect()
     }
 }
 
-/// Adapter running a per-cell [`ContenderFactory`] as a chunk-of-one
-/// [`CompetitionEvaluator`].
-struct FactoryCompetitionEvaluator<'a> {
-    factory: &'a dyn ContenderFactory,
-}
-
-impl CompetitionEvaluator for FactoryCompetitionEvaluator<'_> {
+impl CompetitionEvaluator for RegistryEvaluator<'_> {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
         cells
             .iter()
-            .map(|c| run_competition_cell(c, self.factory))
+            .map(|cell| {
+                let make = |label: &str| self.make(&cell.scenario, label);
+                let ccs = cell.labels.iter().map(|l| make(l)).collect();
+                let res = Simulator::new(cell.scenario.clone(), ccs).run();
+                competition_report(cell, &res, &make)
+            })
             .collect()
     }
 }
@@ -186,17 +127,20 @@ impl CompetitionEvaluator for FactoryCompetitionEvaluator<'_> {
 /// The shared sharded executor: distributes contiguous chunks of
 /// `batch` items over `threads` scoped workers pulling from an atomic
 /// queue, slotting results back by item index. Scheduling order can
-/// never change the output vector — the byte-identity foundation both
-/// the classic sweep and the competition sweep build on.
-pub(crate) fn run_chunked<T: Sync, R: Send>(
+/// never change the output vector — the byte-identity foundation every
+/// run builds on. No items means no worker and no `eval` call.
+fn run_chunked<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     batch: usize,
     eval: &(dyn Fn(&[T]) -> Vec<R> + Sync),
 ) -> Vec<R> {
     let n = items.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let batch = batch.max(1);
-    let chunks = n.div_ceil(batch).max(1);
+    let chunks = n.div_ceil(batch);
     let workers = threads.min(chunks).max(1);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -229,6 +173,27 @@ pub(crate) fn run_chunked<T: Sync, R: Send>(
         .map(|r| r.expect("every item produced a result"))
         .collect()
 }
+
+/// The two cell kinds, as the executor sees them.
+trait Cell: Clone + Sync {
+    /// Position in the expansion order.
+    fn index(&self) -> u64;
+}
+
+impl Cell for SweepCell {
+    fn index(&self) -> u64 {
+        self.index
+    }
+}
+
+impl Cell for CompetitionCell {
+    fn index(&self) -> u64 {
+        self.index
+    }
+}
+
+/// A cached run's store, ledger timestamp and cell-key function.
+type Memo<'a, C> = (&'a ResultStore, u64, &'a dyn Fn(&C) -> String);
 
 /// Parallel executor for sweep specs. See the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -292,28 +257,51 @@ impl SweepRunner {
         self.threads
     }
 
-    /// **The unified entry point**: validates and runs a declarative
-    /// [`ExperimentSpec`] against the built-in scheme registry,
-    /// returning the canonical report labelled with the experiment's
-    /// name. Subsumes the per-workload `run_*` methods.
+    /// Validates and runs a declarative [`ExperimentSpec`] against the
+    /// built-in scheme registry, returning the canonical report
+    /// labelled with the experiment's name.
     ///
     /// `mocc` schemes need a policy engine this crate does not have:
     /// they come back as [`SpecError::NeedsPolicyEngine`] — run those
     /// specs through `mocc_core::run_experiment` (or the `mocc` CLI),
-    /// which handles the batched-inference path and delegates
-    /// everything else here.
+    /// which builds the batched evaluator and calls
+    /// [`SweepRunner::run_in`].
     pub fn run(&self, exp: &ExperimentSpec) -> Result<SweepReport, SpecError> {
-        self.run_in(exp, &SchemeRegistry::builtin())
+        self.run_in(exp, &SchemeRegistry::builtin(), None, None)
+            .map(|(report, _)| report)
     }
 
-    /// [`SweepRunner::run`] against a custom (pluggable) registry.
+    /// **The one spec entry point**: validates `exp` against
+    /// `registry`, lowers and expands it, and evaluates every cell.
+    ///
+    /// - Registry labels — sweep schemes, contenders, the friendliness
+    ///   control — instantiate through `registry`.
+    /// - `policy` serves the `mocc` flows: the evaluator, and a
+    ///   function returning the [`PolicyIdentity`] its cells are keyed
+    ///   by. Only a cached run calls it (digesting a whole model costs
+    ///   milliseconds an uncached run has no use for). A spec with
+    ///   `mocc` labels and no policy is
+    ///   [`SpecError::NeedsPolicyEngine`]; a spec without them ignores
+    ///   the policy.
+    /// - `cache` (`store`, ledger timestamp — the library never reads a
+    ///   clock) serves every verified hit, simulates only the misses
+    ///   and writes them back. The report is byte-identical to an
+    ///   uncached run: hits are canonical blobs of exactly the reports
+    ///   a cold run computes, assembled by the same index-sorted
+    ///   [`SweepReport::new`]. Cache keys do not name the registry, so
+    ///   registries binding one label to different controllers must
+    ///   use separate stores. Uncached runs report zero hits and
+    ///   misses.
     pub fn run_in(
         &self,
         exp: &ExperimentSpec,
         registry: &SchemeRegistry,
-    ) -> Result<SweepReport, SpecError> {
+        policy: Option<(&dyn PolicyEvaluator, &dyn Fn() -> PolicyIdentity)>,
+        cache: Option<(&ResultStore, u64)>,
+    ) -> Result<(SweepReport, CacheStats), SpecError> {
         exp.validate_in(registry)?;
-        if exp.needs_policy() {
+        let policy = policy.filter(|_| exp.needs_policy());
+        if exp.needs_policy() && policy.is_none() {
             let label = exp
                 .scheme_labels()
                 .into_iter()
@@ -321,37 +309,49 @@ impl SweepRunner {
                 .expect("needs_policy implies a mocc label");
             return Err(SpecError::NeedsPolicyEngine { label });
         }
-        match &exp.workload {
+        let fallback = RegistryEvaluator {
+            registry,
+            scheme: match &exp.workload {
+                Workload::Sweep(w) => Some(w.scheme.label()),
+                Workload::Competition(_) => None,
+            },
+        };
+        let ev: &dyn PolicyEvaluator = match policy {
+            Some((ev, _)) => ev,
+            None => &fallback,
+        };
+        let identity = policy.zip(cache).map(|((_, identity), _)| identity());
+        let (reports, stats) = match &exp.workload {
             Workload::Sweep(w) => {
                 let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-                let factory = RegistryFactory {
-                    registry,
-                    scheme: &w.scheme,
-                };
-                Ok(self.run_factory(&spec, &exp.name, &factory))
+                let key =
+                    |c: &SweepCell| sweep_cell_key(c, w.scheme.label(), &spec, identity.as_ref());
+                self.execute(
+                    &spec.expand(),
+                    CellEvaluator::batch_size(ev),
+                    &|chunk| CellEvaluator::eval_batch(ev, chunk),
+                    cache.map(|(store, ts)| (store, ts, &key as &dyn Fn(&SweepCell) -> String)),
+                )
             }
             Workload::Competition(_) => {
                 let spec = exp
                     .to_competition_spec()
                     .expect("competition workload lowers");
-                let factory = RegistryContenders { registry };
-                Ok(self.run_competition_factory(&spec, &exp.name, &factory))
+                let key = |c: &CompetitionCell| competition_cell_key(c, &spec, identity.as_ref());
+                self.execute(
+                    &spec.expand(),
+                    CompetitionEvaluator::batch_size(ev),
+                    &|chunk| CompetitionEvaluator::eval_batch(ev, chunk),
+                    cache.map(|(store, ts)| {
+                        (store, ts, &key as &dyn Fn(&CompetitionCell) -> String)
+                    }),
+                )
             }
-        }
-    }
-
-    /// Programmatic escape hatch: runs every cell of an
-    /// expansion-level [`SweepSpec`] under controllers from an
-    /// arbitrary [`CellFactory`]. Use [`SweepRunner::run`] (with a
-    /// custom registry if needed) when the experiment is expressible
-    /// as a spec document.
-    pub fn run_factory(
-        &self,
-        spec: &SweepSpec,
-        controller: &str,
-        factory: &dyn CellFactory,
-    ) -> SweepReport {
-        self.run_cells(spec, controller, &FactoryEvaluator { factory })
+        };
+        Ok((
+            SweepReport::new(&exp.name, exp.seed, exp.duration_s, reports),
+            stats,
+        ))
     }
 
     /// Programmatic escape hatch: runs every cell of a [`SweepSpec`]
@@ -366,24 +366,13 @@ impl SweepRunner {
         controller: &str,
         evaluator: &dyn CellEvaluator,
     ) -> SweepReport {
-        let cells = spec.expand();
-        let reports = run_chunked(&cells, self.threads, evaluator.batch_size(), &|chunk| {
-            evaluator.eval_batch(chunk)
-        });
+        let (reports, _) = self.execute(
+            &spec.expand(),
+            evaluator.batch_size(),
+            &|chunk| evaluator.eval_batch(chunk),
+            None,
+        );
         SweepReport::new(controller, spec.seed, spec.duration_s, reports)
-    }
-
-    /// Programmatic escape hatch: runs every cell of a
-    /// [`CompetitionSpec`] under controllers from an arbitrary
-    /// [`ContenderFactory`]. Same byte-identity contract as
-    /// [`SweepRunner::run_cells`].
-    pub fn run_competition_factory(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        factory: &dyn ContenderFactory,
-    ) -> SweepReport {
-        self.run_competition_cells(spec, controller, &FactoryCompetitionEvaluator { factory })
     }
 
     /// Programmatic escape hatch: runs every cell of a
@@ -397,179 +386,66 @@ impl SweepRunner {
         controller: &str,
         evaluator: &dyn CompetitionEvaluator,
     ) -> SweepReport {
-        let cells = spec.expand();
-        let reports = run_chunked(&cells, self.threads, evaluator.batch_size(), &|chunk| {
-            evaluator.eval_batch(chunk)
-        });
+        let (reports, _) = self.execute(
+            &spec.expand(),
+            evaluator.batch_size(),
+            &|chunk| evaluator.eval_batch(chunk),
+            None,
+        );
         SweepReport::new(controller, spec.seed, spec.duration_s, reports)
     }
 
-    /// The memoizing counterpart of [`SweepRunner::run`]: validates
-    /// and runs a declarative [`ExperimentSpec`], serving every cell
-    /// it can from `store` and simulating only the misses. The merged
-    /// report is byte-identical to an uncached run — hits are
-    /// canonical blobs of exactly the reports a cold run would
-    /// compute, and assembly goes through the same index-sorted
-    /// [`SweepReport::new`]. `ts` is the caller's timestamp for the
-    /// store's audit ledger (the library never reads a clock). `mocc`
-    /// schemes come back as [`SpecError::NeedsPolicyEngine`], exactly
-    /// like [`SweepRunner::run`] — use
-    /// `mocc_core::run_experiment_cached` for those.
-    pub fn run_cached(
+    /// The one executor behind every run, for both cell kinds:
+    /// evaluates `cells` in chunks of `batch` over the worker pool and
+    /// returns their reports in cell order. With a `memo` it first
+    /// serves every verified hit, simulates only the misses and writes
+    /// their blobs back — best-effort: a full disk degrades the cache,
+    /// never the run. Without one it computes no key and clones no
+    /// cell.
+    fn execute<C: Cell>(
         &self,
-        exp: &ExperimentSpec,
-        store: &ResultStore,
-        ts: u64,
-    ) -> Result<(SweepReport, CacheStats), SpecError> {
-        self.run_cached_in(exp, &SchemeRegistry::builtin(), store, ts)
-    }
-
-    /// [`SweepRunner::run_cached`] against a custom (pluggable)
-    /// registry. Note the key does not name the registry: two
-    /// registries binding the same label to different behavior would
-    /// share cache entries — point them at separate stores.
-    pub fn run_cached_in(
-        &self,
-        exp: &ExperimentSpec,
-        registry: &SchemeRegistry,
-        store: &ResultStore,
-        ts: u64,
-    ) -> Result<(SweepReport, CacheStats), SpecError> {
-        exp.validate_in(registry)?;
-        if exp.needs_policy() {
-            let label = exp
-                .scheme_labels()
-                .into_iter()
-                .find(|l| SchemeSpec::parse(l).is_ok_and(|s| s.is_mocc()))
-                .expect("needs_policy implies a mocc label");
-            return Err(SpecError::NeedsPolicyEngine { label });
-        }
-        match &exp.workload {
-            Workload::Sweep(w) => {
-                let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-                let factory = RegistryFactory {
-                    registry,
-                    scheme: &w.scheme,
-                };
-                let evaluator = FactoryEvaluator { factory: &factory };
-                Ok(self.run_cells_cached(
-                    &spec,
-                    &exp.name,
-                    w.scheme.label(),
-                    &evaluator,
-                    store,
-                    None,
-                    ts,
-                ))
-            }
-            Workload::Competition(_) => {
-                let spec = exp
-                    .to_competition_spec()
-                    .expect("competition workload lowers");
-                let factory = RegistryContenders { registry };
-                let evaluator = FactoryCompetitionEvaluator { factory: &factory };
-                Ok(
-                    self.run_competition_cells_cached(
-                        &spec, &exp.name, &evaluator, store, None, ts,
-                    ),
-                )
-            }
-        }
-    }
-
-    /// The memoizing counterpart of [`SweepRunner::run_cells`]:
-    /// serves hits from `store`, simulates only missing cells (still
-    /// chunked by [`CellEvaluator::batch_size`]), writes fresh blobs
-    /// back, and assembles the same byte-identical report. `scheme`
-    /// is the shared-grammar label keying the cells (the report's
-    /// `controller` name deliberately is not part of the key); pass
-    /// the policy identity whenever the evaluator serves `mocc`
-    /// flows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_cells_cached(
-        &self,
-        spec: &SweepSpec,
-        controller: &str,
-        scheme: &str,
-        evaluator: &dyn CellEvaluator,
-        store: &ResultStore,
-        policy: Option<&PolicyIdentity>,
-        ts: u64,
-    ) -> (SweepReport, CacheStats) {
-        let cells = spec.expand();
-        let keys: Vec<String> = cells
+        cells: &[C],
+        batch: usize,
+        eval: &(dyn Fn(&[C]) -> Vec<CellReport> + Sync),
+        memo: Option<Memo<'_, C>>,
+    ) -> (Vec<CellReport>, CacheStats) {
+        let Some((store, ts, key)) = memo else {
+            let reports = run_chunked(cells, self.threads, batch, eval);
+            return (reports, CacheStats::default());
+        };
+        let keys: Vec<String> = cells.iter().map(key).collect();
+        let mut out: Vec<Option<CellReport>> = cells
             .iter()
-            .map(|c| sweep_cell_key(c, scheme, spec, policy))
+            .zip(&keys)
+            .map(|(cell, key)| verified_hit(store, key, ts, cell.index()))
             .collect();
-        let (reports, stats) = cached_cell_reports(
-            &cells,
-            &keys,
-            self.threads,
-            evaluator.batch_size(),
-            &|chunk| evaluator.eval_batch(chunk),
-            &|c: &SweepCell| c.index,
-            store,
-            ts,
-        );
-        (
-            SweepReport::new(controller, spec.seed, spec.duration_s, reports),
-            stats,
-        )
-    }
-
-    /// The memoizing counterpart of
-    /// [`SweepRunner::run_competition_cells`]; same contract as
-    /// [`SweepRunner::run_cells_cached`] (competition cells carry
-    /// their scheme lineup themselves, so no separate label).
-    pub fn run_competition_cells_cached(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        evaluator: &dyn CompetitionEvaluator,
-        store: &ResultStore,
-        policy: Option<&PolicyIdentity>,
-        ts: u64,
-    ) -> (SweepReport, CacheStats) {
-        let cells = spec.expand();
-        let keys: Vec<String> = cells
-            .iter()
-            .map(|c| competition_cell_key(c, spec, policy))
+        let missing: Vec<usize> = (0..cells.len()).filter(|&i| out[i].is_none()).collect();
+        let miss_cells: Vec<C> = missing.iter().map(|&i| cells[i].clone()).collect();
+        let computed = run_chunked(&miss_cells, self.threads, batch, eval);
+        for (&slot, report) in missing.iter().zip(computed) {
+            let blob = serde_json::to_string(&report).expect("report serializes");
+            let _ = store.put(&keys[slot], &blob, ts);
+            out[slot] = Some(report);
+        }
+        let stats = CacheStats {
+            hits: (cells.len() - missing.len()) as u64,
+            misses: missing.len() as u64,
+        };
+        let reports = out
+            .into_iter()
+            .map(|r| r.expect("every cell resolved"))
             .collect();
-        let (reports, stats) = cached_cell_reports(
-            &cells,
-            &keys,
-            self.threads,
-            evaluator.batch_size(),
-            &|chunk| evaluator.eval_batch(chunk),
-            &|c: &CompetitionCell| c.index,
-            store,
-            ts,
-        );
-        (
-            SweepReport::new(controller, spec.seed, spec.duration_s, reports),
-            stats,
-        )
+        (reports, stats)
     }
-}
-
-/// Simulates one cell to its horizon and reduces it to metrics.
-pub fn run_cell(cell: &SweepCell, factory: &dyn CellFactory) -> CellReport {
-    let ccs = factory.make(cell);
-    let res = Simulator::new(cell.scenario.clone(), ccs).run();
-    CellReport::from_sim(cell, &res)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::competition::{contender_by_name, ContenderMix};
+    use crate::experiment::PolicySpec;
     use crate::spec::{FlowLoad, TraceShape};
     use mocc_netsim::cc::Aimd;
-
-    fn aimd_factory(cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        (0..cell.scenario.flows.len())
-            .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
-            .collect()
-    }
 
     fn small_spec() -> SweepSpec {
         SweepSpec {
@@ -584,18 +460,58 @@ mod tests {
         }
     }
 
+    fn aimd_registry() -> SchemeRegistry {
+        SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()))
+    }
+
+    /// `spec` under AIMD on every flow, through the spec entry point.
+    fn run_aimd(threads: usize, spec: &SweepSpec) -> SweepReport {
+        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), spec);
+        let (report, stats) = SweepRunner::with_threads(threads)
+            .run_in(&exp, &aimd_registry(), None, None)
+            .unwrap();
+        assert_eq!(stats, CacheStats::default(), "uncached runs count nothing");
+        report
+    }
+
+    /// AIMD on every flow, `batch` cells per chunk — a hand-wired
+    /// evaluator independent of the registry path.
+    struct Aimds {
+        batch: usize,
+    }
+
+    impl CellEvaluator for Aimds {
+        fn batch_size(&self) -> usize {
+            self.batch
+        }
+        fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+            cells
+                .iter()
+                .map(|c| {
+                    let ccs = c
+                        .scenario
+                        .flows
+                        .iter()
+                        .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
+                        .collect();
+                    CellReport::from_sim(c, &Simulator::new(c.scenario.clone(), ccs).run())
+                })
+                .collect()
+        }
+    }
+
     #[test]
     fn parallel_report_is_byte_identical_to_serial() {
         let spec = small_spec();
-        let serial = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &aimd_factory);
-        let parallel = SweepRunner::with_threads(4).run_factory(&spec, "aimd", &aimd_factory);
+        let serial = run_aimd(1, &spec);
+        let parallel = run_aimd(4, &spec);
         assert_eq!(serial.to_canonical_json(), parallel.to_canonical_json());
     }
 
     #[test]
     fn runner_covers_every_cell_in_order() {
         let spec = small_spec();
-        let rep = SweepRunner::with_threads(3).run_factory(&spec, "aimd", &aimd_factory);
+        let rep = run_aimd(3, &spec);
         assert_eq!(rep.cells.len(), spec.cell_count());
         for (i, c) in rep.cells.iter().enumerate() {
             assert_eq!(c.index, i as u64);
@@ -605,16 +521,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_factory_runs_cubic() {
+    fn builtin_registry_runs_cubic() {
         let mut spec = small_spec();
         spec.bandwidth_mbps = vec![8.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![0.0];
-        let rep = SweepRunner::with_threads(2).run_factory(
-            &spec,
-            "cubic",
-            &BaselineFactory::new("cubic"),
-        );
+        let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
+        let rep = SweepRunner::with_threads(2).run(&exp).unwrap();
         assert_eq!(rep.controller, "cubic");
         assert!(rep.cells[0].utilization > 0.5, "{:?}", rep.cells[0]);
     }
@@ -631,7 +544,7 @@ mod tests {
         spec.bandwidth_mbps = vec![4.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![1.0];
-        let rep = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &aimd_factory);
+        let rep = SweepRunner::with_threads(1).run_cells(&spec, "aimd", &Aimds { batch: 1 });
         assert_eq!(rep.cells.len(), 1);
         let c = &rep.cells[0];
         assert_eq!(c.goodput_mbps, 0.0, "nothing can be delivered");
@@ -653,7 +566,7 @@ mod tests {
         }
         let json = rep.to_canonical_json();
         assert!(!json.to_ascii_lowercase().contains("nan"), "{json}");
-        let again = SweepRunner::with_threads(2).run_factory(&spec, "aimd", &aimd_factory);
+        let again = SweepRunner::with_threads(2).run_cells(&spec, "aimd", &Aimds { batch: 1 });
         assert_eq!(json, again.to_canonical_json());
     }
 
@@ -677,20 +590,18 @@ mod tests {
     /// Competition sweeps inherit the byte-identity contract: serial
     /// and 4-way parallel runs of a churning contender matrix produce
     /// identical canonical JSON, and the mix label rides the report's
-    /// `load` column.
+    /// `mix` column.
     #[test]
     fn competition_parallel_matches_serial_byte_for_byte() {
-        use crate::competition::{BaselineContenders, CompetitionSpec, ContenderMix};
         let mut spec = CompetitionSpec::quick();
         spec.mixes = vec![
             ContenderMix::duel("cubic", "vegas"),
             ContenderMix::staircase("bbr", 2, 2.0),
         ];
         spec.duration_s = 8;
-        let serial =
-            SweepRunner::with_threads(1).run_competition_factory(&spec, "mix", &BaselineContenders);
-        let quad =
-            SweepRunner::with_threads(4).run_competition_factory(&spec, "mix", &BaselineContenders);
+        let exp = ExperimentSpec::from_competition("mix", &spec);
+        let serial = SweepRunner::with_threads(1).run(&exp).unwrap();
+        let quad = SweepRunner::with_threads(4).run(&exp).unwrap();
         assert_eq!(serial.to_canonical_json(), quad.to_canonical_json());
         assert_eq!(serial.cells.len(), 2);
         assert_eq!(serial.cells[0].load, "flows:2");
@@ -699,44 +610,65 @@ mod tests {
         assert_eq!(serial.cells[1].mix.as_deref(), Some("stair:bbr:2x2"));
     }
 
-    /// The unified entry point is behavior-preserving: a declarative
-    /// sweep experiment produces a report byte-identical to the
-    /// factory path it subsumes, and a competition experiment matches
-    /// the competition-factory path.
-    #[test]
-    fn experiment_entry_point_matches_the_legacy_paths() {
-        use crate::experiment::ExperimentSpec;
-        use crate::scheme::SchemeSpec;
-        let spec = small_spec();
-        let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
-        let unified = SweepRunner::with_threads(2).run(&exp).unwrap();
-        let legacy = SweepRunner::with_threads(2).run_factory(
-            &spec,
-            "cubic",
-            &BaselineFactory::new("cubic"),
-        );
-        assert_eq!(unified.to_canonical_json(), legacy.to_canonical_json());
+    /// Built-in baselines through `mocc_cc::by_name`, wired by hand —
+    /// the competition side builds its friendliness control from
+    /// `contender_by_name`, as a policy evaluator does.
+    struct ByName;
 
-        use crate::competition::{BaselineContenders, CompetitionSpec, ContenderMix};
+    impl CellEvaluator for ByName {
+        fn eval_batch(&self, _: &[SweepCell]) -> Vec<CellReport> {
+            unreachable!("competition-only evaluator")
+        }
+    }
+
+    impl CompetitionEvaluator for ByName {
+        fn batch_size(&self) -> usize {
+            2
+        }
+        fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
+            let make = |label: &str| contender_by_name(label).expect("built-in label");
+            cells
+                .iter()
+                .map(|c| {
+                    let ccs = c.labels.iter().map(|l| make(l)).collect();
+                    let res = Simulator::new(c.scenario.clone(), ccs).run();
+                    competition_report(c, &res, &make)
+                })
+                .collect()
+        }
+    }
+
+    /// The spec entry point is behavior-preserving: a declarative
+    /// sweep produces a report byte-identical to a hand-wired chunked
+    /// evaluator, and a competition matches one that builds its
+    /// friendliness control from `contender_by_name` instead of the
+    /// registry.
+    #[test]
+    fn spec_entry_point_matches_hand_wired_evaluators() {
+        let spec = small_spec();
+        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
+        let (unified, _) = SweepRunner::with_threads(2)
+            .run_in(&exp, &aimd_registry(), None, None)
+            .unwrap();
+        let by_hand = SweepRunner::with_threads(3).run_cells(&spec, "aimd", &Aimds { batch: 4 });
+        assert_eq!(unified.to_canonical_json(), by_hand.to_canonical_json());
+
         let mut cspec = CompetitionSpec::quick();
-        cspec.mixes = vec![ContenderMix::duel("cubic", "vegas")];
+        cspec.mixes = vec![
+            ContenderMix::duel("cubic", "vegas"),
+            ContenderMix::duel("cubic", "cubic"),
+        ];
         cspec.duration_s = 8;
         let cexp = ExperimentSpec::from_competition("mix", &cspec);
         let unified = SweepRunner::with_threads(2).run(&cexp).unwrap();
-        let legacy = SweepRunner::with_threads(2).run_competition_factory(
-            &cspec,
-            "mix",
-            &BaselineContenders,
-        );
-        assert_eq!(unified.to_canonical_json(), legacy.to_canonical_json());
+        let by_hand = SweepRunner::with_threads(2).run_competition_cells(&cspec, "mix", &ByName);
+        assert_eq!(unified.to_canonical_json(), by_hand.to_canonical_json());
     }
 
     /// `mocc` schemes cannot run without a policy engine: the unified
     /// entry point reports it as a typed error, not a panic.
     #[test]
     fn mocc_experiments_need_the_policy_engine() {
-        use crate::experiment::{ExperimentSpec, PolicySpec};
-        use crate::scheme::{SchemeSpec, SpecError};
         let mut exp = ExperimentSpec::from_sweep(
             "mocc-thr",
             SchemeSpec::parse("mocc:thr").unwrap(),
@@ -756,47 +688,130 @@ mod tests {
     }
 
     /// Custom registry schemes drive spec-file experiments through
-    /// `run_in`: a plugged-in constructor serves both sweep flows and
-    /// competition contenders (including the friendliness control).
+    /// `run_in`: a plugged-in constructor serves sweep flows,
+    /// competition contenders and the friendliness control.
     #[test]
     fn custom_registry_schemes_run_experiments() {
-        use crate::experiment::ExperimentSpec;
-        use crate::scheme::{SchemeRegistry, SchemeSpec};
-        let reg =
-            SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
         let exp =
             ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &small_spec());
-        let via_registry = SweepRunner::with_threads(2).run_in(&exp, &reg).unwrap();
-        let via_factory =
-            SweepRunner::with_threads(2).run_factory(&small_spec(), "aimd", &aimd_factory);
+        let (via_registry, _) = SweepRunner::with_threads(2)
+            .run_in(&exp, &aimd_registry(), None, None)
+            .unwrap();
+        let via_evaluator =
+            SweepRunner::with_threads(2).run_cells(&small_spec(), "aimd", &Aimds { batch: 1 });
         assert_eq!(
             via_registry.to_canonical_json(),
-            via_factory.to_canonical_json()
+            via_evaluator.to_canonical_json()
         );
         // The builtin registry rejects the same spec up front.
         assert!(SweepRunner::with_threads(1).run(&exp).is_err());
+
+        let mut cspec = CompetitionSpec::quick();
+        cspec.mixes = vec![ContenderMix::duel("aimd", "cubic")];
+        cspec.tcp_baseline = "aimd".to_string();
+        cspec.duration_s = 8;
+        let cexp = ExperimentSpec::from_competition("aimd-duel", &cspec);
+        let (duel, _) = SweepRunner::with_threads(1)
+            .run_in(&cexp, &aimd_registry(), None, None)
+            .unwrap();
+        let f = duel.cells[0].friendliness.expect("the AIMD control ran");
+        assert!(f.is_finite() && f > 0.0, "{:?}", duel.cells[0]);
+        assert!(SweepRunner::with_threads(1).run(&cexp).is_err());
     }
 
     /// A batched evaluator (chunks of 4) must produce a report
-    /// byte-identical to the per-cell factory path — chunking is pure
-    /// scheduling.
+    /// byte-identical to the registry path's chunks of one — chunking
+    /// is pure scheduling.
     #[test]
-    fn chunked_evaluator_matches_factory_byte_for_byte() {
-        struct Chunky;
-        impl CellEvaluator for Chunky {
-            fn batch_size(&self) -> usize {
-                4
-            }
-            fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-                cells.iter().map(|c| run_cell(c, &aimd_factory)).collect()
-            }
-        }
+    fn chunked_evaluator_matches_registry_byte_for_byte() {
         let spec = small_spec();
-        let via_factory = SweepRunner::with_threads(2).run_factory(&spec, "aimd", &aimd_factory);
-        let via_chunks = SweepRunner::with_threads(3).run_cells(&spec, "aimd", &Chunky);
+        let via_registry = run_aimd(2, &spec);
+        let via_chunks = SweepRunner::with_threads(3).run_cells(&spec, "aimd", &Aimds { batch: 4 });
         assert_eq!(
-            via_factory.to_canonical_json(),
+            via_registry.to_canonical_json(),
             via_chunks.to_canonical_json()
         );
+    }
+
+    /// No items, no worker and no evaluator call: an all-hit cached
+    /// run has nothing to simulate.
+    #[test]
+    fn empty_input_never_reaches_the_evaluator() {
+        let out: Vec<u8> = run_chunked(&[] as &[u8], 4, 8, &|_| panic!("called on empty input"));
+        assert!(out.is_empty());
+    }
+
+    /// A stand-in policy: AIMD on every flow, counting the chunks it
+    /// is handed and refusing an empty one.
+    struct CountingPolicy {
+        calls: AtomicUsize,
+    }
+
+    impl CellEvaluator for CountingPolicy {
+        fn batch_size(&self) -> usize {
+            4
+        }
+        fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+            assert!(!cells.is_empty(), "evaluator handed an empty batch");
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Aimds { batch: 4 }.eval_batch(cells)
+        }
+    }
+
+    impl CompetitionEvaluator for CountingPolicy {
+        fn eval_batch(&self, _: &[CompetitionCell]) -> Vec<CellReport> {
+            unreachable!("sweep-only evaluator")
+        }
+    }
+
+    /// The cached policy path: a cold run simulates every cell and
+    /// digests the policy once; a warm run serves every cell from the
+    /// store, byte-identical, without one evaluator call; an uncached
+    /// run never asks for the policy identity.
+    #[test]
+    fn cached_policy_runs_simulate_only_misses() {
+        let mut exp = ExperimentSpec::from_sweep(
+            "mocc-thr",
+            SchemeSpec::parse("mocc:thr").unwrap(),
+            &small_spec(),
+        );
+        exp.policy = Some(PolicySpec::default());
+        let cells = exp.cell_count();
+        let identity = || PolicyIdentity {
+            digest: "d".repeat(64),
+            preference: "bal".to_string(),
+            initial_rate_frac: 0.3,
+            fast_math: false,
+        };
+        let policy = CountingPolicy {
+            calls: AtomicUsize::new(0),
+        };
+        let runner = SweepRunner::with_threads(2);
+        let reg = SchemeRegistry::builtin();
+        let never = || -> PolicyIdentity { panic!("an uncached run digested the policy") };
+        let (uncached, _) = runner
+            .run_in(&exp, &reg, Some((&policy, &never)), None)
+            .unwrap();
+
+        let dir =
+            std::env::temp_dir().join(format!("mocc-runner-test-cached-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        policy.calls.store(0, Ordering::Relaxed);
+        let (cold, s1) = runner
+            .run_in(&exp, &reg, Some((&policy, &identity)), Some((&store, 1)))
+            .unwrap();
+        assert_eq!((s1.hits, s1.misses), (0, cells as u64));
+        assert_eq!(policy.calls.load(Ordering::Relaxed), cells.div_ceil(4));
+        assert_eq!(cold.to_canonical_json(), uncached.to_canonical_json());
+
+        policy.calls.store(0, Ordering::Relaxed);
+        let (warm, s2) = runner
+            .run_in(&exp, &reg, Some((&policy, &identity)), Some((&store, 2)))
+            .unwrap();
+        assert!(s2.all_hits(), "{s2:?}");
+        assert_eq!(policy.calls.load(Ordering::Relaxed), 0);
+        assert_eq!(warm.to_canonical_json(), uncached.to_canonical_json());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

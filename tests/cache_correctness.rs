@@ -24,7 +24,7 @@ use mocc::eval::{
     MoccPrefSpec, PolicyIdentity, PolicySpec, SchemeSpec, SweepRunner, SweepSpec, TraceShape,
     Workload,
 };
-use mocc::store::{LedgerScan, ResultStore};
+use mocc::store::{sha256_hex, LedgerScan, ResultStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,6 +304,68 @@ fn semantic_mutations_move_every_key() {
         for (i, (a, b)) in reference.iter().zip(&keys).enumerate() {
             assert_ne!(a, b, "mutating {what} left cell {i}'s key unchanged");
         }
+    }
+}
+
+/// SHA-256 over the sorted, newline-joined object key stems a cold
+/// cached run of each shipped example spec writes — recorded once and
+/// never re-recorded. The tests above only say keys stay put or move;
+/// these literals catch a refactor that keys every cell differently
+/// (and so orphans every existing store) while staying self-consistent.
+const PINNED_EXAMPLE_KEY_DIGESTS: [(&str, &str); 3] = [
+    (
+        "sweep_cubic",
+        "6863704b3e78d39fca6996f4383e464491e1fda3c4013256f76e2e8567d5f613",
+    ),
+    (
+        "competition_mocc",
+        "3672d8e58d814ba94919b02dd5797d88df4a707a26bf75a191d8d98c6045297a",
+    ),
+    (
+        "sweep_replay",
+        "ed1839e45de800d7cc9882e5a7aa21ee5623b6b3f7f982ff4e69b48d6bf4306a",
+    ),
+];
+
+/// Every cell a shipped example spec stores lands under its frozen
+/// `mocc-cell-v1` key.
+#[test]
+fn example_spec_keys_match_pinned_digests() {
+    for (file, pinned) in PINNED_EXAMPLE_KEY_DIGESTS {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("examples/specs")
+            .join(format!("{file}.json"));
+        let exp = ExperimentSpec::load(&path).expect("shipped spec loads");
+        let (dir, store) = temp_store(&format!("pinned-{file}"));
+        let (_, stats) = run_experiment_cached(&SweepRunner::with_threads(2), &exp, &store, 1)
+            .expect("shipped spec runs cached");
+        assert_eq!(
+            stats.misses as usize,
+            exp.cell_count(),
+            "{file}: cold run hit"
+        );
+        let stems: Vec<String> = object_paths(&dir)
+            .iter()
+            .map(|p| {
+                p.file_stem()
+                    .and_then(|s| s.to_str())
+                    .expect("object names are utf-8")
+                    .to_string()
+            })
+            .collect();
+        let mut sorted = stems.clone();
+        sorted.sort();
+        assert_eq!(
+            sorted.len(),
+            exp.cell_count(),
+            "{file}: one object per cell"
+        );
+        assert_eq!(
+            sha256_hex(sorted.join("\n").as_bytes()),
+            pinned,
+            "{file}: the cache keys of its cells moved"
+        );
+        drop_store(&dir);
     }
 }
 

@@ -17,11 +17,12 @@
 
 use mocc::core::{run_experiment, run_experiment_cached};
 use mocc::eval::{
-    run_cell, BaselineFactory, CellEvaluator, CellReport, CompetitionSpec, ContenderMix,
-    ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec, SchemeSpec, SweepCell, SweepReport,
-    SweepRunner, SweepSpec, TraceShape,
+    CellEvaluator, CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad,
+    MoccPrefSpec, PolicySpec, SchemeRegistry, SchemeSpec, SweepCell, SweepReport, SweepRunner,
+    SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::{Aimd, CongestionControl};
+use mocc::netsim::Simulator;
 use mocc::store::ResultStore;
 use std::path::PathBuf;
 
@@ -299,21 +300,30 @@ fn golden_fixtures_byte_identical_via_experiment_spec() {
 #[test]
 fn golden_fixtures_byte_identical_via_batched_runner() {
     struct ChunkedBaseline {
-        factory: BaselineFactory,
+        name: &'static str,
     }
     impl CellEvaluator for ChunkedBaseline {
         fn batch_size(&self) -> usize {
             8
         }
         fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-            cells.iter().map(|c| run_cell(c, &self.factory)).collect()
+            cells
+                .iter()
+                .map(|c| {
+                    let ccs = c
+                        .scenario
+                        .flows
+                        .iter()
+                        .map(|_| mocc::cc::by_name(self.name).expect("golden baseline"))
+                        .collect();
+                    CellReport::from_sim(c, &Simulator::new(c.scenario.clone(), ccs).run())
+                })
+                .collect()
         }
     }
     for name in CONTROLLERS {
         let fixture = std::fs::read_to_string(fixture_path(name)).expect("fixture present");
-        let evaluator = ChunkedBaseline {
-            factory: BaselineFactory::new(name),
-        };
+        let evaluator = ChunkedBaseline { name };
         let got = SweepRunner::auto().run_cells(&golden_spec(), name, &evaluator);
         assert_eq!(
             got.to_canonical_json(),
@@ -449,18 +459,17 @@ fn competition_report_identical_across_threads_and_batches() {
 fn parallel_sweep_is_byte_identical_to_serial() {
     let spec = mocc_bench::perf::reference_sweep();
     assert_eq!(spec.cell_count(), 64);
-    let factory = |cell: &SweepCell| {
-        (0..cell.scenario.flows.len())
-            .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
-            .collect::<Vec<_>>()
+    let reg = SchemeRegistry::builtin().with_scheme("aimd", "AIMD", |_| {
+        Box::new(Aimd::new()) as Box<dyn CongestionControl>
+    });
+    let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
+    let run = |threads| {
+        let (report, _) = SweepRunner::with_threads(threads)
+            .run_in(&exp, &reg, None, None)
+            .expect("reference sweep runs");
+        report.to_canonical_json()
     };
-    let serial = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &factory);
-    let quad = SweepRunner::with_threads(4).run_factory(&spec, "aimd", &factory);
-    assert_eq!(
-        serial.to_canonical_json(),
-        quad.to_canonical_json(),
-        "parallel execution changed the report"
-    );
+    assert_eq!(run(1), run(4), "parallel execution changed the report");
 }
 
 fn example_spec_path(name: &str) -> PathBuf {

@@ -169,7 +169,7 @@ fn zoo_model_runs_as_registry_scheme() {
     matrix.bandwidth_mbps = vec![4.0];
     matrix.duration_s = 8;
     let exp = ExperimentSpec::from_sweep("zoo-deploy", reg.parse("resume-zoo").unwrap(), &matrix);
-    let report = run_experiment_in(&SweepRunner::with_threads(1), &exp, &reg).unwrap();
+    let (report, _) = run_experiment_in(&SweepRunner::with_threads(1), &exp, &reg, None).unwrap();
     assert_eq!(report.cells.len(), 1);
     let cell = &report.cells[0];
     assert!(
