@@ -420,3 +420,79 @@ fn serve_socket_survives_a_client_that_hangs_up_mid_request() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A daemon never serves a policy by its file name: after the model
+/// behind a `policy.path` spec is overwritten with another agent, the
+/// same request simulates every cell afresh, and the reply carries
+/// exactly the report an uncached `mocc run` of the new model writes.
+#[test]
+fn serve_reloads_a_model_rewritten_on_disk() {
+    use mocc_core::{MoccAgent, MoccConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let dir = temp_dir("rewritten-model");
+    let store = dir.join("store");
+    let model = dir.join("model.json");
+    let spec = dir.join("spec.json");
+    let save_model = |seed: u64| {
+        MoccAgent::new(MoccConfig::fast(), &mut StdRng::seed_from_u64(seed))
+            .save(&model)
+            .expect("save model");
+    };
+    std::fs::write(
+        &spec,
+        format!(
+            "{{\"agent_mi\":true,\"bandwidth_mbps\":[6.0],\"duration_s\":3,\"kind\":\"sweep\",\
+             \"loads\":[\"onoff:1\"],\"loss\":[0.0],\"mss_bytes\":1500,\"name\":\"rewritten\",\
+             \"owd_ms\":[10,40],\"policy\":{{\"path\":{:?}}},\"queue_pkts\":[100],\
+             \"scheme\":\"mocc:bal\",\"seed\":42,\"shapes\":[\"constant\"]}}",
+            model.to_str().expect("utf-8 temp path")
+        ),
+    )
+    .expect("write spec");
+    let spec_arg = spec.to_str().expect("utf-8 temp path");
+    let uncached_report = || {
+        let out = mocc(&["run", spec_arg]);
+        assert!(out.status.success(), "uncached run: {}", stderr_of(&out));
+        String::from_utf8(out.stdout)
+            .expect("utf-8 report")
+            .trim_end()
+            .to_string()
+    };
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mocc"))
+        .args(["serve", "--cache-dir", store.to_str().expect("utf-8")])
+        .current_dir(repo_root())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve spawns");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut run = || {
+        writeln!(stdin, "{{\"op\":\"run\",\"path\":{spec_arg:?}}}").expect("write run");
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read reply");
+        line.trim_end().to_string()
+    };
+
+    let mut reports = Vec::new();
+    for seed in [3, 4] {
+        save_model(seed);
+        let report = uncached_report();
+        assert_eq!(
+            run(),
+            format!("{{\"hits\":0,\"misses\":2,\"ok\":true,\"report\":{report}}}"),
+            "model seed {seed}: every policy cell must miss and match the uncached run"
+        );
+        reports.push(report);
+    }
+    assert_ne!(reports[0], reports[1], "the two models must differ");
+    drop(stdin);
+    let status = child.wait().expect("serve exits");
+    assert!(status.success(), "serve exited with {status}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

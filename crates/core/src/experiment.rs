@@ -20,29 +20,119 @@ use mocc_eval::{
 use mocc_store::ResultStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Materializes the agent a [`PolicySpec`] describes: loaded from
 /// `path` when set, otherwise freshly initialized from `seed` under
 /// the named config preset. Both forms are deterministic, so a spec
 /// file pins the exact policy bits an experiment ran with.
 pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
-    if let Some(path) = &policy.path {
-        return MoccAgent::load(std::path::Path::new(path)).map_err(|e| SpecError::Io {
-            path: path.clone(),
-            reason: e.to_string(),
-        });
-    }
-    let cfg = match policy.config.as_str() {
-        "fast" => MoccConfig::fast(),
-        "default" => MoccConfig::default(),
-        other => {
-            return Err(SpecError::InvalidSpec {
-                reason: format!("policy.config {other:?} must be \"fast\" or \"default\""),
-            })
+    PolicySource::of(policy)?.build(policy)
+}
+
+/// What a materialized policy is remembered by: its content, never
+/// its name. A model file is keyed on its exact text, re-read on every
+/// request, so a model rewritten on disk is re-parsed and re-digested.
+#[derive(PartialEq)]
+enum PolicySource {
+    /// A freshly initialized agent under the `fast` (or `default`)
+    /// config preset.
+    Seeded { fast: bool, seed: u64 },
+    /// A saved agent file's text.
+    File(String),
+}
+
+impl PolicySource {
+    fn of(policy: &PolicySpec) -> Result<Self, SpecError> {
+        if let Some(path) = &policy.path {
+            return std::fs::read_to_string(path)
+                .map(PolicySource::File)
+                .map_err(|e| load_error(path, e));
         }
-    };
-    let mut rng = StdRng::seed_from_u64(policy.seed);
-    Ok(MoccAgent::new(cfg, &mut rng))
+        let seed = policy.seed;
+        match policy.config.as_str() {
+            "fast" => Ok(PolicySource::Seeded { fast: true, seed }),
+            "default" => Ok(PolicySource::Seeded { fast: false, seed }),
+            other => Err(SpecError::InvalidSpec {
+                reason: format!("policy.config {other:?} must be \"fast\" or \"default\""),
+            }),
+        }
+    }
+
+    fn build(&self, policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
+        match self {
+            PolicySource::File(text) => MoccAgent::from_json(text).map_err(|e| {
+                let path = policy.path.as_deref().unwrap_or_default();
+                load_error(path, e)
+            }),
+            PolicySource::Seeded { fast, seed } => {
+                let cfg = if *fast {
+                    MoccConfig::fast()
+                } else {
+                    MoccConfig::default()
+                };
+                Ok(MoccAgent::new(cfg, &mut StdRng::seed_from_u64(*seed)))
+            }
+        }
+    }
+}
+
+/// The error [`MoccAgent::load`] failures surface as.
+fn load_error(path: &str, e: impl std::fmt::Display) -> SpecError {
+    SpecError::Io {
+        path: path.to_string(),
+        reason: e.to_string(),
+    }
+}
+
+/// A materialized agent and its [`policy_digest`], computed on first
+/// use (uncached runs never need it).
+struct Materialized {
+    agent: MoccAgent,
+    digest: OnceLock<String>,
+}
+
+impl Materialized {
+    fn digest(&self) -> &str {
+        self.digest.get_or_init(|| policy_digest(&self.agent))
+    }
+}
+
+/// How many distinct policies the process remembers; the least
+/// recently used one is dropped first.
+const MEMO_ENTRIES: usize = 4;
+
+/// The agents this process has materialized, most recently used last,
+/// so a long-running caller (`mocc serve`) pays for parsing and
+/// digesting a policy once per content rather than once per request.
+static MEMO: Mutex<Vec<(PolicySource, Arc<Materialized>)>> = Mutex::new(Vec::new());
+
+/// [`agent_from_policy`] through the process-wide memo.
+fn materialize(policy: &PolicySpec) -> Result<Arc<Materialized>, SpecError> {
+    let source = PolicySource::of(policy)?;
+    // Every update leaves the list whole, so a panic elsewhere while
+    // it was locked (the daemon survives panics per request) must not
+    // disable the memo for the rest of the process.
+    let memo = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    {
+        let mut memo = memo();
+        if let Some(i) = memo.iter().position(|(s, _)| *s == source) {
+            let entry = memo.remove(i);
+            let hit = Arc::clone(&entry.1);
+            memo.push(entry);
+            return Ok(hit);
+        }
+    }
+    let fresh = Arc::new(Materialized {
+        agent: source.build(policy)?,
+        digest: OnceLock::new(),
+    });
+    let mut memo = memo();
+    if memo.len() >= MEMO_ENTRIES {
+        memo.remove(0);
+    }
+    memo.push((source, Arc::clone(&fresh)));
+    Ok(fresh)
 }
 
 /// Runs any [`ExperimentSpec`] — the complete entry point behind the
@@ -109,13 +199,16 @@ pub fn run_experiment_in(
             &policy.preference
         }
     };
-    let agent = agent_from_policy(policy)?;
-    let evaluator =
-        BatchMoccEvaluator::new(&agent, preference_from_spec(pref), policy.initial_rate_frac)
-            .with_batch_size(policy.batch)
-            .with_fast_math(policy.fast_math);
+    let policy_agent = materialize(policy)?;
+    let evaluator = BatchMoccEvaluator::new(
+        &policy_agent.agent,
+        preference_from_spec(pref),
+        policy.initial_rate_frac,
+    )
+    .with_batch_size(policy.batch)
+    .with_fast_math(policy.fast_math);
     let identity = || PolicyIdentity {
-        digest: policy_digest(&agent),
+        digest: policy_agent.digest().to_string(),
         preference: policy.preference.label(),
         initial_rate_frac: policy.initial_rate_frac,
         fast_math: policy.fast_math,
@@ -265,6 +358,54 @@ mod tests {
             run_experiment(&SweepRunner::with_threads(1), &exp),
             Err(SpecError::InvalidSpec { .. })
         ));
+    }
+
+    /// The memo hands out the same identity a fresh materialization
+    /// would, keys files on their bytes (a rewritten model is a new
+    /// policy), and fails exactly as [`MoccAgent::load`] does.
+    #[test]
+    fn memoized_policies_match_fresh_materialization() {
+        let dir = std::env::temp_dir().join(format!("mocc-memo-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("agent.json");
+        let file_policy = PolicySpec {
+            path: Some(path.display().to_string()),
+            ..policy()
+        };
+        let seeded = |seed| MoccAgent::new(MoccConfig::fast(), &mut StdRng::seed_from_u64(seed));
+        let fresh_digest = |p: &PolicySpec| policy_digest(&agent_from_policy(p).unwrap());
+        for seed in [3, 4] {
+            seeded(seed).save(&path).unwrap();
+            for p in [&file_policy, &policy()] {
+                assert_eq!(materialize(p).unwrap().digest(), fresh_digest(p));
+                assert_eq!(materialize(p).unwrap().digest(), fresh_digest(p));
+            }
+            assert_eq!(
+                materialize(&file_policy).unwrap().digest(),
+                policy_digest(&seeded(seed)),
+                "a rewritten model file is a new policy"
+            );
+        }
+
+        let load_error = |p: &PolicySpec| {
+            let path = p.path.clone().unwrap();
+            let reason = MoccAgent::load(std::path::Path::new(&path))
+                .err()
+                .unwrap()
+                .to_string();
+            SpecError::Io { path, reason }.to_string()
+        };
+        let missing = PolicySpec {
+            path: Some(dir.join("missing.json").display().to_string()),
+            ..policy()
+        };
+        std::fs::write(&path, "{\"cfg\": garbled").unwrap();
+        for p in [&missing, &file_policy] {
+            let want = load_error(p);
+            assert_eq!(agent_from_policy(p).err().unwrap().to_string(), want);
+            assert_eq!(materialize(p).err().unwrap().to_string(), want);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A saved agent file loaded through `policy.path` reproduces the

@@ -2,8 +2,8 @@
 
 use crate::ledger::{LedgerEntry, LedgerEvent, LedgerScan};
 use crate::sha256::sha256_hex;
-use std::collections::BTreeMap;
-use std::io;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -51,7 +51,99 @@ struct PutRecord {
 pub struct ResultStore {
     root: PathBuf,
     index: Mutex<BTreeMap<String, PutRecord>>,
+    tally: Mutex<LedgerTally>,
     repaired_tail: bool,
+}
+
+/// Running [`ResultStore::stats`] counters over the ledger's first
+/// `offset` bytes, so each call parses only what was appended since
+/// the last one. Appends by other handles and processes are picked up
+/// like any others; a replaced, shortened or rewritten ledger is
+/// recounted from the start.
+#[derive(Debug, Default)]
+struct LedgerTally {
+    /// The tallied file's `(device, inode)`; `None` where the platform
+    /// cannot tell, which recounts on every call.
+    file_id: Option<(u64, u64)>,
+    /// Bytes consumed: always the end of a complete line.
+    offset: u64,
+    /// The last consumed line, newline included: it must still sit
+    /// just before `offset` for the tally to continue.
+    last_line: String,
+    puts: u64,
+    hits: u64,
+    misses: u64,
+    bad_lines: u64,
+    put_keys: BTreeSet<String>,
+}
+
+impl LedgerTally {
+    /// Folds the ledger bytes appended since the last call into the
+    /// counters; returns true when the ledger ends in a half-written
+    /// line (reported, not consumed, so a later append completes it).
+    fn advance(&mut self, path: &Path) -> io::Result<bool> {
+        let mut file = match std::fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                *self = LedgerTally::default();
+                return Ok(false);
+            }
+            Err(e) => return Err(e),
+        };
+        let meta = file.metadata()?;
+        let id = file_id(&meta);
+        let mut text = String::new();
+        let same_file = id.is_some() && id == self.file_id && meta.len() >= self.offset;
+        if same_file {
+            file.seek(SeekFrom::Start(self.offset - self.last_line.len() as u64))?;
+            file.read_to_string(&mut text)?;
+        }
+        let start = if same_file && text.starts_with(&self.last_line) {
+            self.last_line.len()
+        } else {
+            *self = LedgerTally {
+                file_id: id,
+                ..LedgerTally::default()
+            };
+            text.clear();
+            file.seek(SeekFrom::Start(0))?;
+            file.read_to_string(&mut text)?;
+            0
+        };
+        let new = &text[start..];
+        let complete = new.rfind('\n').map_or(0, |i| i + 1);
+        let scan = LedgerScan::parse(&new[..complete]);
+        for entry in scan.entries {
+            match entry.event {
+                LedgerEvent::Put => {
+                    self.puts += 1;
+                    self.put_keys.insert(entry.key);
+                }
+                LedgerEvent::Hit => self.hits += 1,
+                LedgerEvent::Miss => self.misses += 1,
+            }
+        }
+        self.bad_lines += scan.bad_lines.len() as u64;
+        if complete > 0 {
+            let line_start = new[..complete - 1].rfind('\n').map_or(0, |i| i + 1);
+            self.last_line = new[line_start..complete].to_string();
+            self.offset += complete as u64;
+        }
+        Ok(complete < new.len())
+    }
+}
+
+/// A file's `(device, inode)`: what tells an appended ledger from a
+/// replaced one.
+#[cfg(unix)]
+fn file_id(meta: &std::fs::Metadata) -> Option<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    Some((meta.dev(), meta.ino()))
+}
+
+#[cfg(not(unix))]
+fn file_id(_meta: &std::fs::Metadata) -> Option<(u64, u64)> {
+    None
 }
 
 /// Aggregate counters for `mocc cache stats`.
@@ -135,6 +227,7 @@ impl ResultStore {
         Ok(ResultStore {
             root,
             index: Mutex::new(index),
+            tally: Mutex::new(LedgerTally::default()),
             repaired_tail,
         })
     }
@@ -238,15 +331,15 @@ impl ResultStore {
         let mut out = Vec::new();
         let objects = self.root.join(OBJECTS_DIR);
         for shard in std::fs::read_dir(&objects)? {
-            let shard = shard?.path();
-            if !shard.is_dir() {
+            let shard = shard?;
+            if !shard.file_type()?.is_dir() {
                 continue;
             }
-            for obj in std::fs::read_dir(&shard)? {
+            for obj in std::fs::read_dir(shard.path())? {
                 let obj = obj?;
-                let path = obj.path();
-                if path.is_file() {
-                    let rel = path
+                if obj.file_type()?.is_file() {
+                    let rel = obj
+                        .path()
                         .strip_prefix(&self.root)
                         .expect("object under root")
                         .to_string_lossy()
@@ -271,19 +364,25 @@ impl ResultStore {
     }
 
     /// Aggregate counters over the ledger and the objects directory.
+    ///
+    /// The ledger counters are kept as a running tally: each call
+    /// parses only the bytes appended since the previous one (the
+    /// first call reads the whole ledger). Damage to lines this handle
+    /// has already counted is reported by [`ResultStore::verify`], by
+    /// [`ResultStore::gc`], and by a freshly opened handle.
     pub fn stats(&self) -> io::Result<StoreStats> {
-        let scan = self.scan_disk()?;
+        let mut tally = self.tally.lock().expect("tally lock");
+        let truncated_ledger_tail = tally.advance(&self.root.join(LEDGER_FILE))?;
         let objects = self.walk_objects()?;
-        let count = |ev: LedgerEvent| scan.entries.iter().filter(|e| e.event == ev).count() as u64;
         Ok(StoreStats {
             objects: objects.len() as u64,
             object_bytes: objects.iter().map(|(_, n)| n).sum(),
-            keys: scan.latest_puts().len() as u64,
-            puts: count(LedgerEvent::Put),
-            hits: count(LedgerEvent::Hit),
-            misses: count(LedgerEvent::Miss),
-            bad_ledger_lines: scan.bad_lines.len() as u64,
-            truncated_ledger_tail: scan.truncated_tail,
+            keys: tally.put_keys.len() as u64,
+            puts: tally.puts,
+            hits: tally.hits,
+            misses: tally.misses,
+            bad_ledger_lines: tally.bad_lines,
+            truncated_ledger_tail,
         })
     }
 
@@ -384,6 +483,7 @@ impl ResultStore {
         ));
         std::fs::write(&tmp, &compacted)?;
         std::fs::rename(&tmp, self.root.join(LEDGER_FILE))?;
+        *self.tally.lock().expect("tally lock") = LedgerTally::default();
         let before_lines =
             scan.entries.len() + scan.bad_lines.len() + usize::from(scan.truncated_tail);
         *guard = survivors
@@ -582,6 +682,87 @@ mod tests {
             "a hit at ts 120 outlives the put at ts 50"
         );
         assert!(store.get(&older, 132).is_none(), "ts 99 < 100 is dropped");
+    }
+
+    /// The running `stats` tally agrees with a full scan by a fresh
+    /// handle through every way the ledger changes: this handle's own
+    /// gets and puts, appends through a second handle, a torn tail
+    /// that a later append completes, and compaction by either
+    /// handle's `gc`.
+    #[test]
+    fn stats_tally_matches_a_fresh_full_scan() {
+        use std::io::Write;
+        let store = temp_store("tally");
+        let root = store.root().to_path_buf();
+        let fresh = || ResultStore::open(&root).unwrap().stats().unwrap();
+        let append = |bytes: &[u8]| {
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(root.join(LEDGER_FILE))
+                .unwrap()
+                .write_all(bytes)
+                .unwrap()
+        };
+        let (a, b, c) = (key("tally-a"), key("tally-b"), key("tally-c"));
+        assert!(store.get(&a, 1).is_none());
+        assert_eq!(store.stats().unwrap(), fresh());
+        store.put(&a, "blob a", 2).unwrap();
+        assert!(store.get(&a, 3).is_some());
+        store.put(&a, "blob a again", 4).unwrap();
+        assert_eq!(store.stats().unwrap(), fresh());
+
+        let other = ResultStore::open(&root).unwrap();
+        other.put(&b, "blob b", 5).unwrap();
+        assert!(other.get(&a, 6).is_some());
+        assert_eq!(store.stats().unwrap(), fresh());
+
+        let line = format!(
+            "{}\n",
+            LedgerEntry {
+                key: c.clone(),
+                event: LedgerEvent::Miss,
+                content: None,
+                path: None,
+                ts: 7,
+            }
+            .to_line()
+        );
+        let (head, tail) = line.split_at(line.len() / 2);
+        let before = store.stats().unwrap();
+        append(head.as_bytes());
+        let torn = store.stats().unwrap();
+        assert!(torn.truncated_ledger_tail);
+        assert_eq!(
+            torn,
+            StoreStats {
+                truncated_ledger_tail: true,
+                ..before
+            }
+        );
+        append(tail.as_bytes());
+        append(b"garbled line\n");
+        assert!(store.get(&c, 8).is_none());
+        assert_eq!(store.stats().unwrap(), fresh());
+
+        // Compaction replaces the ledger; appends then grow the new
+        // file past this handle's offset into the old one.
+        other.gc(None).unwrap();
+        for _ in 0..16 {
+            assert!(other.get(&a, 8).is_some());
+        }
+        assert_eq!(store.stats().unwrap(), fresh());
+        store.put(&c, "blob c", 9).unwrap();
+        assert!(store.get(&c, 10).is_some());
+        assert!(other.get(&b, 8).is_some());
+        assert_eq!(store.stats().unwrap(), fresh());
+
+        store.gc(Some(9)).unwrap();
+        assert_eq!(store.stats().unwrap(), fresh());
+        assert_eq!(
+            (fresh().keys, fresh().puts, fresh().hits),
+            (1, 1, 0),
+            "gc compacted to the one key touched at or after ts 9"
+        );
     }
 
     #[test]
