@@ -98,40 +98,29 @@ impl Materialized {
     }
 }
 
-/// How many distinct policies the process remembers; the least
-/// recently used one is dropped first.
-const MEMO_ENTRIES: usize = 4;
-
-/// The agents this process has materialized, most recently used last,
-/// so a long-running caller (`mocc serve`) pays for parsing and
-/// digesting a policy once per content rather than once per request.
-static MEMO: Mutex<Vec<(PolicySource, Arc<Materialized>)>> = Mutex::new(Vec::new());
+/// The policy this process materialized last, so a long-running caller
+/// (`mocc serve`) whose requests share one policy pays for parsing and
+/// digesting it once per content rather than once per request. A
+/// request for any other content replaces it.
+static MEMO: Mutex<Option<(PolicySource, Arc<Materialized>)>> = Mutex::new(None);
 
 /// [`agent_from_policy`] through the process-wide memo.
 fn materialize(policy: &PolicySpec) -> Result<Arc<Materialized>, SpecError> {
     let source = PolicySource::of(policy)?;
-    // Every update leaves the list whole, so a panic elsewhere while
+    // Every update replaces the slot whole, so a panic elsewhere while
     // it was locked (the daemon survives panics per request) must not
     // disable the memo for the rest of the process.
     let memo = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
-    {
-        let mut memo = memo();
-        if let Some(i) = memo.iter().position(|(s, _)| *s == source) {
-            let entry = memo.remove(i);
-            let hit = Arc::clone(&entry.1);
-            memo.push(entry);
-            return Ok(hit);
+    if let Some((held, agent)) = &*memo() {
+        if *held == source {
+            return Ok(Arc::clone(agent));
         }
     }
     let fresh = Arc::new(Materialized {
         agent: source.build(policy)?,
         digest: OnceLock::new(),
     });
-    let mut memo = memo();
-    if memo.len() >= MEMO_ENTRIES {
-        memo.remove(0);
-    }
-    memo.push((source, Arc::clone(&fresh)));
+    *memo() = Some((source, Arc::clone(&fresh)));
     Ok(fresh)
 }
 
